@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .dynamics import make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
-from .mesh import sample_positions
+from .mesh import DIRICHLET, Mesh, sample_positions
 from .objectives import QpInstance, qp_eval_grad, qp_objective
 
 #: two objective values count as the same solution within this gap
@@ -119,12 +119,10 @@ def generate_qp(d: int, s: int, seed: int, *, count_diagonal: bool = True,
 def grid_bruteforce_min(qp: QpInstance, r: int):
     """Exhaustive minimum over the (r+1)^d grid; ties break toward the
     lexicographically first multi-index."""
-    n_nodes = (r + 1) ** qp.dim
-    if n_nodes > 10 ** 7:
-        raise ResourceError(f"grid of {n_nodes} nodes exceeds the cap")
-    edge = np.arange(r + 1) / r
-    axes = np.meshgrid(*([edge] * qp.dim), indexing="ij")
-    pts = np.stack([a.reshape(-1) for a in axes], axis=1)
+    grid = Mesh(qp.dim, r, DIRICHLET)
+    if grid.size > 10 ** 7:
+        raise ResourceError(f"grid of {grid.size} nodes exceeds the cap")
+    pts = grid.node_coords()
     vals = qp_objective(qp)(pts)
     idx = int(np.argmin(vals))
     return pts[idx], float(vals[idx])
@@ -157,9 +155,7 @@ def local_refine(qp: QpInstance, x0, tol: float = 1e-8,
 def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     """Ground-truth helper: exhaustive grid minimum polished by refinement
     from the best grid points."""
-    edge = np.arange(r + 1) / r
-    axes = np.meshgrid(*([edge] * qp.dim), indexing="ij")
-    pts = np.stack([a.reshape(-1) for a in axes], axis=1)
+    pts = Mesh(qp.dim, r, DIRICHLET).node_coords()
     vals = qp_objective(qp)(pts)
     order = np.argsort(vals, kind="stable")[:n_starts]
     best_x, best_f = None, np.inf

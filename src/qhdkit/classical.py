@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
+from .mesh import within_radius
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,6 @@ def ensemble_stats(traces, x_star, radius: float):
     lengths = {len(t.points) for t in traces}
     if len(lengths) != 1:
         raise ValueError("traces are not aligned in length")
-    x_star = np.asarray(x_star, dtype=float)
     pts = np.stack([t.points for t in traces])      # (runs, steps+1, d)
     vals = np.stack([t.values for t in traces])
-    dist = np.linalg.norm(pts - x_star, axis=2)
-    return (dist < radius).mean(axis=0), vals.mean(axis=0)
+    return within_radius(pts, x_star, radius).mean(axis=0), vals.mean(axis=0)

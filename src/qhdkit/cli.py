@@ -96,8 +96,8 @@ def cmd_classical(args):
 
 def cmd_spectrum(args):
     f = objectives.get_objective(args.objective)
-    sched = _parse_schedule(args.schedule, args.stepsize, max(args.times))
     times = sorted(float(t) for t in args.times.split(","))
+    sched = _parse_schedule(args.schedule, args.stepsize, max(times))
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -148,10 +148,7 @@ def cmd_anneal_sim(args):
         raise SystemExit("model file carries no layout line; cannot decode")
     if isinstance(model, ising.QuboModel):
         model = ising.qubo_to_ising(model)
-    sched = dynamics.make_schedule("nesterov_nonconvex",
-                                   stepsize=args.stepsize) \
-        if args.schedule == "nesterov_nonconvex" else \
-        _parse_schedule(args.schedule, args.stepsize, args.tf)
+    sched = _parse_schedule(args.schedule, args.stepsize, args.tf)
     env = ising.anneal_rescale(sched, layout.bits_per_var,
                                (args.a0_over_h, args.tf)) \
         if args.physical else ising.AnnealEnvelope(
@@ -229,8 +226,9 @@ def main(argv=None):
     p.add_argument("--schedule", default="linear")
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--snapshots", default="")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for symmetry with the other commands; "
+                   "has no effect, the evolution is deterministic")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate_qaa)
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ScheduleValidationError, StabilityError
-from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   discretize_objective, success_mask, uniform_state)
+from .errors import (BlowupError, ScheduleValidationError, StabilityError,
+                     StepGridError)
+from .mesh import (PERIODIC, DiagonalOperator, Mesh, WaveFunction,
+                   discretize_objective, success_mask, uniform_state,
+                   within_radius)
 
 TWO_PARAM = "two_param"
 THREE_PARAM = "three_param"
@@ -53,14 +55,6 @@ class Schedule:
     knots: tuple = None
     horizon: float = None
     name: str = ""
-
-    def validate_positive(self, t_grid):
-        for t in t_grid:
-            kp, pp = self.kinetic_coeff(t), self.potential_coeff(t)
-            if kp <= 0 or pp <= 0:
-                raise ScheduleValidationError(
-                    f"coefficients must be positive on (0, T]; at t={t} got "
-                    f"kinetic={kp}, potential={pp}", t=t)
 
 
 def _three_param_schedule(alpha, beta, gamma, name, sample_times):
@@ -246,16 +240,89 @@ class Trajectory:
         return self.snapshots[idx]
 
 
-def _snapshot_steps(snapshot_times, t0, dt, n_steps):
-    steps = {}
-    for ts in snapshot_times:
-        m = (ts - t0) / dt
-        m_int = int(round(m))
-        if abs(m - m_int) > 1e-6 or not (1 <= m_int <= n_steps):
-            raise ValueError(
-                f"snapshot time {ts} does not lie on the step grid")
-        steps[m_int] = float(ts)
-    return steps
+def _step_count(t0, T, dt) -> int:
+    """Number of steps of size dt from t0 to T; the span must hold a whole
+    number of steps (within 1e-6) so the horizon is never silently moved."""
+    if dt <= 0 or T <= t0:
+        raise ValueError("need dt > 0 and T > t0")
+    m = (T - t0) / dt
+    n = int(round(m))
+    if abs(m - n) > 1e-6:
+        raise StepGridError(
+            f"(T - t0) / dt = {m} is not a whole number of steps")
+    return n
+
+
+def _check_finite(nrm: float, step: int):
+    if not np.isfinite(nrm):
+        raise BlowupError(f"non-finite amplitudes at step {step}", step=step)
+
+
+class _Recorder:
+    """Bookkeeping shared by the evolution engines.
+
+    Owns the step count, the snapshot-step table, the E[f],
+    success-probability and norm traces recorded every ``stride`` steps and
+    at the last step, and the snapshots, the final state always among them.
+    ``fvals`` and ``smask`` are shaped like the engine's state; ``mesh``
+    wraps snapshots as WaveFunctions (plain flat vectors when None). Steps
+    are counted from 1, so step m ends at t0 + m dt.
+    """
+
+    def __init__(self, t0, T, dt, fvals, smask=None, *, snapshot_times=(),
+                 stride=1, mesh=None):
+        self.t0, self.dt, self.stride = t0, dt, stride
+        self.n_steps = _step_count(t0, T, dt)
+        self.fvals, self.smask, self.mesh = fvals, smask, mesh
+        self.snap_steps = {}
+        for ts in snapshot_times:
+            m = (ts - t0) / dt
+            m_int = int(round(m))
+            if abs(m - m_int) > 1e-6 or not (1 <= m_int <= self.n_steps):
+                raise StepGridError(
+                    f"snapshot time {ts} does not lie on the step grid")
+            self.snap_steps[m_int] = float(ts)
+        self.times, self.efs, self.sps, self.norms = [], [], [], []
+        self.snap_ts, self.snaps = [], []
+
+    def due(self, step: int) -> bool:
+        return step % self.stride == 0 or step == self.n_steps
+
+    def observe(self, step: int, prob: np.ndarray):
+        """Record the observables of the density ``prob`` after ``step``."""
+        nrm = float(prob.sum())
+        _check_finite(nrm, step - 1)
+        self.times.append(self.t0 + step * self.dt)
+        self.norms.append(nrm)
+        self.efs.append(float(np.sum(prob * self.fvals)) / nrm)
+        self.sps.append(float(np.sum(prob[self.smask])) / nrm
+                        if self.smask is not None else np.nan)
+
+    def record(self, step: int, psi: np.ndarray):
+        """Observables on due steps and a snapshot on snapshot steps."""
+        if self.due(step):
+            self.observe(step, np.abs(psi) ** 2)
+        if step in self.snap_steps:
+            self._snapshot(self.snap_steps[step], psi)
+
+    def _snapshot(self, t, psi):
+        amp = (psi / np.sqrt(np.sum(np.abs(psi) ** 2))).reshape(-1)
+        self.snap_ts.append(t)
+        self.snaps.append(amp if self.mesh is None
+                          else WaveFunction(self.mesh, amp))
+
+    def finish(self, psi: np.ndarray) -> Trajectory:
+        """The trajectory, with ``psi`` as the final snapshot at T unless a
+        snapshot was already recorded there."""
+        t_end = self.t0 + self.n_steps * self.dt
+        if not self.snap_ts or abs(self.snap_ts[-1] - t_end) > 1e-9:
+            self._snapshot(t_end, psi)
+        return Trajectory(times=np.array(self.times),
+                          observables={"Ef": np.array(self.efs),
+                                       "success_prob": np.array(self.sps),
+                                       "norm": np.array(self.norms)},
+                          snapshot_times=np.array(self.snap_ts),
+                          snapshots=self.snaps)
 
 
 def kinetic_eigenvalues(mesh: Mesh) -> np.ndarray:
@@ -285,53 +352,26 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     ``snapshot_times`` and at T.
     """
     mesh.require(PERIODIC)
-    if dt <= 0 or T <= t0:
-        raise ValueError("need dt > 0 and T > t0")
     fop = f if isinstance(f, DiagonalOperator) else discretize_objective(mesh, f)
     fvals = fop.values.reshape(mesh.shape)
     if x_star is None and getattr(f, "minimizer", None) is not None:
         x_star = np.asarray(f.minimizer, dtype=float)
     smask = (success_mask(mesh, x_star, success_radius).reshape(mesh.shape)
              if x_star is not None else None)
+    rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
+                    stride=observable_stride, mesh=mesh)
 
     kin_eigs = kinetic_eigenvalues(mesh)
     psi = (psi0.amplitudes if psi0 is not None
            else uniform_state(mesh).amplitudes).reshape(mesh.shape).copy()
-
-    n_steps = int(round((T - t0) / dt))
-    snap_steps = _snapshot_steps(snapshot_times, t0, dt, n_steps)
-
-    times, efs, sps, norms = [], [], [], []
-    snaps, snap_ts = [], []
-    for j in range(n_steps):
+    for j in range(rec.n_steps):
         te = t0 + (j + 1) * dt
         psi = np.exp(-1j * dt * sched.potential_coeff(te) * fvals) * psi
         psi = np.fft.ifftn(
             np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_eigs)
             * np.fft.fftn(psi))
-        if (j + 1) % observable_stride == 0 or j + 1 == n_steps:
-            prob = np.abs(psi) ** 2
-            nrm = float(prob.sum())
-            if not np.isfinite(nrm):
-                raise BlowupError(f"non-finite amplitudes at step {j}", step=j)
-            times.append(te)
-            norms.append(nrm)
-            efs.append(float(np.sum(prob * fvals)) / nrm)
-            sps.append(float(np.sum(prob[smask])) / nrm
-                       if smask is not None else np.nan)
-        if (j + 1) in snap_steps:
-            snap_ts.append(snap_steps[j + 1])
-            snaps.append(WaveFunction(mesh, (psi / np.sqrt(
-                np.sum(np.abs(psi) ** 2))).reshape(-1)))
-    if not snap_ts or abs(snap_ts[-1] - (t0 + n_steps * dt)) > 1e-9:
-        snap_ts.append(t0 + n_steps * dt)
-        snaps.append(WaveFunction(mesh, (psi / np.sqrt(
-            np.sum(np.abs(psi) ** 2))).reshape(-1)))
-    return Trajectory(times=np.array(times),
-                      observables={"Ef": np.array(efs),
-                                   "success_prob": np.array(sps),
-                                   "norm": np.array(norms)},
-                      snapshot_times=np.array(snap_ts), snapshots=snaps)
+        rec.record(j + 1, psi)
+    return rec.finish(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +403,7 @@ def radix2_problem(f, bits_per_var: int) -> Radix2Problem:
     n = dim * bits_per_var
     if n > 24:
         raise ValueError(f"dense radix-2 table infeasible for {n} bits")
-    edge = np.arange(2 ** bits_per_var) / 2 ** bits_per_var
-    axes = np.meshgrid(*([edge] * dim), indexing="ij")
-    points = np.stack([a.reshape(-1) for a in axes], axis=1)
+    points = Mesh(dim, 2 ** bits_per_var, PERIODIC).node_coords()
     diag = np.asarray(f(points), dtype=float)
     return Radix2Problem(dim=dim, bits_per_var=bits_per_var, diag=diag,
                          points=points)
@@ -407,10 +445,9 @@ def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
 
     shape = (2,) * n
     diag_nd = diag.reshape(shape)
-    smask = None
-    if points is not None and x_star is not None:
-        d = np.linalg.norm(points - np.asarray(x_star, dtype=float), axis=1)
-        smask = (d < radius).reshape(shape)
+    smask = (within_radius(points, x_star, radius).reshape(shape)
+             if points is not None and x_star is not None else None)
+    rec = _Recorder(0.0, T, dt, diag_nd, smask, stride=observable_stride)
 
     def h_apply(v, t):
         gt = g(t)
@@ -418,9 +455,8 @@ def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
 
     R = np.full(shape, 1.0 / np.sqrt(diag.size))
     I_half = -0.5 * dt * h_apply(R, 0.0)  # I(dt/2) from I(0) = 0
-    n_steps = int(round(T / dt))
+    n_steps = rec.n_steps
 
-    times, efs, sps, norms = [], [], [], []
     q0 = None
     I_prev = np.zeros(shape)
     for k in range(n_steps):
@@ -436,22 +472,9 @@ def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
                 f"staggered-norm drift {abs(q - q0):.3e} at t={(k + 1) * dt}; "
                 f"reduce dt")
         I_prev, I_half = I_half, I_next
-        if (k + 1) % observable_stride == 0 or k + 1 == n_steps:
+        if rec.due(k + 1):
             I_sync = 0.5 * (I_prev + I_half)
-            prob = R * R + I_sync * I_sync
-            nrm = float(prob.sum())
-            times.append((k + 1) * dt)
-            norms.append(nrm)
-            efs.append(float(np.sum(prob * diag_nd)) / nrm)
-            sps.append(float(np.sum(prob[smask])) / nrm
-                       if smask is not None else np.nan)
+            rec.observe(k + 1, R * R + I_sync * I_sync)
     # the stagger leaves I half a step ahead of R; pull it back to T
     I_sync = I_half + 0.5 * dt * h_apply(R, n_steps * dt)
-    psi = (R + 1j * I_sync).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
-    return Trajectory(times=np.array(times),
-                      observables={"Ef": np.array(efs),
-                                   "success_prob": np.array(sps),
-                                   "norm": np.array(norms)},
-                      snapshot_times=np.array([n_steps * dt]),
-                      snapshots=[psi])
+    return rec.finish(R + 1j * I_sync)

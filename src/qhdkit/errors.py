@@ -46,3 +46,7 @@ class ResourceError(ValueError):
 
 class DomainError(ValueError):
     """An input is outside the mathematical domain of the operation."""
+
+
+class StepGridError(ValueError):
+    """A horizon or snapshot time does not lie on the integrator's step grid."""

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import Schedule, Trajectory
-from .errors import BlowupError, ResourceError, StabilityError
-from .mesh import DIRICHLET, Mesh, WaveFunction, success_mask
+from .dynamics import (Schedule, Trajectory, _check_finite, _Recorder,
+                       _step_count)
+from .errors import ResourceError, StabilityError
+from .mesh import DIRICHLET, Mesh, WaveFunction, kron_sum, success_mask
 from .objectives import QpInstance, qp_objective
 
 #: dense 2^n feasibility cap for oracle-side constructions
@@ -186,16 +187,7 @@ def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
         raise ValueError("resolution must be >= 1")
     j = np.arange(r, dtype=float)
     w = np.sqrt((j + 1.0) * (r - j) / r)
-    a1 = sp.diags([w, w], offsets=[1, -1], format="csr")
-    eye = sp.identity(r + 1, format="csr")
-    total = None
-    for k in range(d):
-        term = None
-        for ax in range(d):
-            block = a1 if ax == k else eye
-            term = block if term is None else sp.kron(term, block, format="csr")
-        total = term if total is None else total + term
-    return total.tocsr()
+    return kron_sum(sp.diags([w, w], offsets=[1, -1], format="csr"), d)
 
 
 def hamming_isometry(r: int, d: int) -> np.ndarray:
@@ -437,18 +429,9 @@ def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
     psi = binomial_state(r, d).amplitudes.reshape(mesh.shape)
     smask = (success_mask(mesh, x_star, success_radius).reshape(mesh.shape)
              if x_star is not None else None)
-
-    n_steps = int(round((T - t0) / dt))
-    snap_steps = {}
-    for ts in snapshot_times:
-        m = (ts - t0) / dt
-        if abs(m - round(m)) > 1e-6:
-            raise ValueError(f"snapshot time {ts} is not on the step grid")
-        snap_steps[int(round(m))] = float(ts)
-
-    times, efs, sps, norms = [], [], [], []
-    snaps, snap_ts = [], []
-    for j in range(n_steps):
+    rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
+                    mesh=mesh)
+    for j in range(rec.n_steps):
         tm = t0 + (j + 0.5) * dt
         half_pot = np.exp(-0.5j * dt * sched.potential_coeff(tm) * fvals)
         kin_phase = np.exp(1j * dt * sched.kinetic_coeff(tm)
@@ -459,27 +442,8 @@ def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
                 np.tensordot(evecs * kin_phase, np.tensordot(
                     evecs.T, psi, axes=(1, ax)), axes=(1, 0)), 0, ax)
         psi = half_pot * psi
-        prob = np.abs(psi) ** 2
-        nrm = float(prob.sum())
-        if not np.isfinite(nrm):
-            raise BlowupError(f"non-finite amplitudes at step {j}", step=j)
-        times.append(t0 + (j + 1) * dt)
-        norms.append(nrm)
-        efs.append(float(np.sum(prob * fvals)) / nrm)
-        sps.append(float(np.sum(prob[smask])) / nrm
-                   if smask is not None else np.nan)
-        if (j + 1) in snap_steps:
-            snap_ts.append(snap_steps[j + 1])
-            snaps.append(WaveFunction(mesh, (psi / np.sqrt(nrm)).reshape(-1)))
-    if not snap_ts or abs(snap_ts[-1] - (t0 + n_steps * dt)) > 1e-9:
-        snap_ts.append(t0 + n_steps * dt)
-        snaps.append(WaveFunction(mesh, (psi / np.sqrt(
-            np.sum(np.abs(psi) ** 2))).reshape(-1)))
-    return Trajectory(times=np.array(times),
-                      observables={"Ef": np.array(efs),
-                                   "success_prob": np.array(sps),
-                                   "norm": np.array(norms)},
-                      snapshot_times=np.array(snap_ts), snapshots=snaps)
+        rec.record(j + 1, psi)
+    return rec.finish(psi)
 
 
 def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
@@ -508,7 +472,7 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
     diag = ising_energies(model, include_offset=False).reshape((2,) * n)
 
     psi = np.full((2,) * n, 2.0 ** (-n / 2.0), dtype=complex)
-    n_steps = int(round(t_f / dt))
+    n_steps = _step_count(0.0, t_f, dt)
     check_every = max(1, n_steps // 50)
     for step in range(n_steps):
         tm = (step + 0.5) * dt
@@ -525,9 +489,7 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
         psi = half * psi
         if (step + 1) % check_every == 0 or step + 1 == n_steps:
             nrm = float(np.sum(np.abs(psi) ** 2))
-            if not np.isfinite(nrm):
-                raise BlowupError(f"non-finite state at step {step}",
-                                  step=step)
+            _check_finite(nrm, step)
             if abs(nrm - 1.0) > 1e-8:
                 raise StabilityError(
                     f"norm drift {abs(nrm - 1.0):.2e} at step {step}")

@@ -142,20 +142,25 @@ def _chain_adjacency(n: int) -> sp.csr_matrix:
     return sp.diags([ones, ones], offsets=[1, -1], format="csr")
 
 
+def kron_sum(a1, dim: int) -> sp.csr_matrix:
+    """Kronecker sum of ``dim`` copies of the square sparse matrix ``a1``:
+    the sum over axes k of I x ... x a1 (at k) x ... x I, first axis
+    slowest as in the flat-index convention."""
+    eye = sp.identity(a1.shape[0], format="csr")
+    total = None
+    for k in range(dim):
+        term = None
+        for ax in range(dim):
+            block = a1 if ax == k else eye
+            term = block if term is None else sp.kron(term, block, format="csr")
+        total = term if total is None else total + term
+    return total.tocsr()
+
+
 def lattice_adjacency(mesh: Mesh) -> sp.csr_matrix:
     """Adjacency matrix of the d-dimensional regular lattice on the mesh
     (Kronecker sum of per-axis chain adjacencies)."""
-    n = mesh.nodes_per_edge
-    a1 = _chain_adjacency(n)
-    eye = sp.identity(n, format="csr")
-    total = sp.csr_matrix((mesh.size, mesh.size))
-    for k in range(mesh.dim):
-        term = None
-        for ax in range(mesh.dim):
-            block = a1 if ax == k else eye
-            term = block if term is None else sp.kron(term, block, format="csr")
-        total = total + term
-    return total.tocsr()
+    return kron_sum(_chain_adjacency(mesh.nodes_per_edge), mesh.dim)
 
 
 def build_fdm_operators(mesh: Mesh):
@@ -250,8 +255,14 @@ def success_probability(psi: WaveFunction, x_star, radius: float) -> float:
     return float(np.sum(psi.density()[success_mask(psi.mesh, x_star, radius)]))
 
 
+def within_radius(points, x_star, radius: float) -> np.ndarray:
+    """Mask of the points (last axis = coordinates) strictly within
+    Euclidean ``radius`` of ``x_star``; ties at exactly the radius are
+    excluded with a relative guard of 1e-12 against coordinate noise."""
+    d = np.linalg.norm(points - np.asarray(x_star, dtype=float), axis=-1)
+    return d < radius * (1.0 - 1e-12)
+
+
 def success_mask(mesh: Mesh, x_star, radius: float) -> np.ndarray:
     """Boolean node mask used by evolution loops to track success mass."""
-    coords = mesh.node_coords()
-    d = np.linalg.norm(coords - np.asarray(x_star, dtype=float), axis=1)
-    return d < radius * (1.0 - 1e-12)
+    return within_radius(mesh.node_coords(), x_star, radius)

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from .dynamics import THREE_PARAM, Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   discretize_objective)
+                   discretize_objective, kron_sum)
 
 #: dense eigendecomposition below this many unknowns (also the test oracle)
 DENSE_LIMIT = 2000
@@ -125,15 +125,7 @@ def _interior_laplacian(mesh: Mesh) -> sp.csr_matrix:
     ones = np.ones(m - 1)
     a1 = sp.diags([ones, -2.0 * np.ones(m), ones], offsets=[1, 0, -1],
                   format="csr")
-    eye = sp.identity(m, format="csr")
-    total = None
-    for k in range(mesh.dim):
-        term = None
-        for ax in range(mesh.dim):
-            block = a1 if ax == k else eye
-            term = block if term is None else sp.kron(term, block, format="csr")
-        total = term if total is None else total + term
-    return (r ** 2) * total.tocsr()
+    return (r ** 2) * kron_sum(a1, mesh.dim)
 
 
 def build_hamiltonian(mesh: Mesh, f, e_phi: float, e_chi: float) -> BoxHamiltonian:

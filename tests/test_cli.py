@@ -121,6 +121,17 @@ def test_spectrum_command(tmp_path):
     assert len(ratios) == 3
 
 
+def test_spectrum_linear_schedule_anneals_to_last_time(tmp_path):
+    # the linear schedule's horizon is the largest time as a number: the
+    # fraction is 1/2 at t=5 and 1 at t=10, so the two spectra differ
+    main(["spectrum", "--resolution", "16", "--schedule", "linear",
+          "--times", "0.5,1,2,5,10", "--levels", "2", "--dt", "1e-2",
+          "--out", str(tmp_path)])
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in
+            (tmp_path / "ratios.csv").read_text().splitlines()[1:]}
+    assert rows["5.0"] != rows["10.0"]
+
+
 def test_bench_command(tmp_path):
     cfg = {"dim": 2, "sparsity": 2, "n_instances": 1, "trials": 30,
            "master_seed": 4, "truth_resolution": 8,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 import qhdkit as qk
 from qhdkit.dynamics import Radix2Problem, _flip_apply, kinetic_eigenvalues
-from qhdkit.errors import ScheduleValidationError, StabilityError
+from qhdkit.errors import (ScheduleValidationError, StabilityError,
+                           StepGridError)
 from qhdkit.objectives import Objective
 
 
@@ -97,6 +99,40 @@ def test_qhd_snapshot_grid_validation():
     sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
     with pytest.raises(ValueError):
         qk.qhd_evolve(mesh, f1, sched, 1.0, 1e-2, snapshot_times=[0.555])
+
+
+def _run_engine(engine, T, dt, **kw):
+    sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
+    if engine == "qhd":
+        f1 = Objective(dim=1, eval_fn=lambda x: np.atleast_2d(x)[:, 0] ** 2)
+        return qk.qhd_evolve(qk.Mesh(1, 8, qk.PERIODIC), f1, sched, T, dt,
+                             **kw)
+    if engine == "relaxed":
+        qp = qk.QpInstance(1, sp.csr_matrix(np.array([[1.0]])), np.zeros(1))
+        return qk.relaxed_qhd_evolve(qp, 2, sched, T, dt, **kw)
+    if engine == "qaa":
+        return qk.qaa_evolve(np.arange(4.0),
+                             qk.make_schedule("linear_qaa", horizon=T),
+                             T, dt, **kw)
+    model = qk.IsingModel(n=2, h=np.ones(2), J={}, offset=0.0)
+    return qk.simulate_ising_dense(model, (lambda t: 1.0, lambda t: 1.0),
+                                   T, dt, **kw)
+
+
+@pytest.mark.parametrize("engine", ["qhd", "relaxed", "qaa", "dense"])
+def test_engines_reject_fractional_step_count(engine):
+    # 1.0 / 0.03 steps: the horizon would otherwise be silently moved to 0.99
+    with pytest.raises(StepGridError):
+        _run_engine(engine, 1.0, 0.03)
+    _run_engine(engine, 0.9, 0.03)   # a whole number of steps runs
+
+
+@pytest.mark.parametrize("engine", ["qhd", "qaa"])
+def test_final_step_recorded_whatever_the_stride(engine):
+    traj = _run_engine(engine, 0.1, 1e-2, observable_stride=4)
+    np.testing.assert_allclose(traj.times, [0.04, 0.08, 0.1])
+    assert len(traj.observables["norm"]) == 3
+    assert traj.snapshot_times[-1] == pytest.approx(0.1)
 
 
 def test_quadratic_closed_form_rate():

@@ -313,6 +313,16 @@ def test_relaxed_evolution_descends_and_matches_dense_oracle():
     assert efs[-1] == pytest.approx(ef_oracle, abs=2e-4)
 
 
+@pytest.mark.parametrize("t_snap", [0.0, 0.555, 1.5])
+def test_relaxed_evolution_rejects_snapshot_off_the_step_grid(t_snap):
+    # at t0, between steps and past T: none of these is a recorded state
+    qp = QpInstance(1, sp.csr_matrix(np.array([[1.0]])), np.zeros(1))
+    sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
+    with pytest.raises(ValueError, match="step grid"):
+        qk.relaxed_qhd_evolve(qp, 2, sched, 1.0, 1e-2,
+                              snapshot_times=[t_snap])
+
+
 def test_relaxed_grid_cap():
     qp = random_qp(5, 1)
     sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
