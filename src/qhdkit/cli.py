@@ -24,16 +24,16 @@ def _csv_write(path, header, rows):
     pathlib.Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
 
-def _parse_schedule(name: str, stepsize: float, horizon: float):
-    if name == "nesterov_nonconvex":
-        return dynamics.make_schedule("nesterov_nonconvex", stepsize=stepsize)
-    if name == "nesterov_three_param":
-        return dynamics.make_schedule("nesterov_three_param")
-    if name == "linear":
-        return dynamics.make_schedule("linear_qaa", horizon=horizon)
-    if name == "local_adiabatic":
-        return dynamics.make_schedule("local_adiabatic", horizon=horizon)
-    raise SystemExit(f"unknown schedule {name!r}")
+#: CLI schedule name -> builder from (stepsize s, horizon T)
+_SCHEDULES = {
+    "nesterov_nonconvex": lambda s, T: dynamics.make_schedule(
+        "nesterov_nonconvex", stepsize=s),
+    "nesterov_three_param": lambda s, T: dynamics.make_schedule(
+        "nesterov_three_param"),
+    "linear": lambda s, T: dynamics.make_schedule("linear_qaa", horizon=T),
+    "local_adiabatic": lambda s, T: dynamics.make_schedule(
+        "local_adiabatic", horizon=T),
+}
 
 
 def _parse_snapshots(text):
@@ -43,7 +43,7 @@ def _parse_snapshots(text):
 def cmd_simulate_qhd(args):
     f = objectives.get_objective(args.objective)
     grid = mesh.Mesh(f.dim, args.resolution, mesh.PERIODIC)
-    sched = _parse_schedule(args.schedule, args.stepsize, args.T)
+    sched = _SCHEDULES[args.schedule](args.stepsize, args.T)
     traj = dynamics.qhd_evolve(grid, f, sched, args.T, args.dt,
                                snapshot_times=_parse_snapshots(args.snapshots))
     out = pathlib.Path(args.out)
@@ -60,7 +60,7 @@ def cmd_simulate_qhd(args):
 def cmd_simulate_qaa(args):
     f = objectives.get_objective(args.objective)
     problem = dynamics.radix2_problem(f, args.bits)
-    sched = _parse_schedule(args.schedule, 1e-3, args.T)
+    sched = _SCHEDULES[args.schedule](1e-3, args.T)
     traj = dynamics.qaa_evolve(problem.diag, sched, args.T, args.dt,
                                points=problem.points, x_star=f.minimizer)
     out = pathlib.Path(args.out)
@@ -97,7 +97,7 @@ def cmd_classical(args):
 def cmd_spectrum(args):
     f = objectives.get_objective(args.objective)
     times = sorted(float(t) for t in args.times.split(","))
-    sched = _parse_schedule(args.schedule, args.stepsize, max(times))
+    sched = _SCHEDULES[args.schedule](args.stepsize, max(times))
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -148,14 +148,10 @@ def cmd_anneal_sim(args):
         raise SystemExit("model file carries no layout line; cannot decode")
     if isinstance(model, ising.QuboModel):
         model = ising.qubo_to_ising(model)
-    sched = _parse_schedule(args.schedule, args.stepsize, args.tf)
-    env = ising.anneal_rescale(sched, layout.bits_per_var,
-                               (args.a0_over_h, args.tf)) \
-        if args.physical else ising.AnnealEnvelope(
-            time_dilation=1.0, t_f=args.tf,
-            a_over_h=lambda t: layout.bits_per_var ** 1.5
-            * sched.kinetic_coeff(t),
-            b_over_h=lambda t: 2.0 * sched.potential_coeff(t))
+    sched = _SCHEDULES[args.schedule](args.stepsize, args.tf)
+    r = layout.bits_per_var
+    env = ising.anneal_rescale(sched, r, (args.a0_over_h, args.tf)) \
+        if args.physical else ising.schedule_envelope(sched, r, 1.0, args.tf)
     state, _ = ising.simulate_ising_dense(model, env, args.tf, args.dt,
                                           n_vars=layout.dim)
     prob = np.abs(state) ** 2
@@ -211,7 +207,8 @@ def main(argv=None):
     p = sub.add_parser("simulate-qhd", help="split-step descent evolution")
     p.add_argument("--objective", default="levy")
     p.add_argument("--resolution", type=int, default=128)
-    p.add_argument("--schedule", default="nesterov_nonconvex")
+    p.add_argument("--schedule", choices=_SCHEDULES,
+                   default="nesterov_nonconvex")
     p.add_argument("--stepsize", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
@@ -223,7 +220,7 @@ def main(argv=None):
     p = sub.add_parser("simulate-qaa", help="baseline adiabatic evolution")
     p.add_argument("--objective", default="levy")
     p.add_argument("--bits", type=int, default=6)
-    p.add_argument("--schedule", default="linear")
+    p.add_argument("--schedule", choices=_SCHEDULES, default="linear")
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0,
@@ -249,7 +246,8 @@ def main(argv=None):
     p = sub.add_parser("spectrum", help="three-phase diagnostics")
     p.add_argument("--objective", default="levy")
     p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--schedule", default="nesterov_nonconvex")
+    p.add_argument("--schedule", choices=_SCHEDULES,
+                   default="nesterov_nonconvex")
     p.add_argument("--stepsize", type=float, default=1e-3)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--times", required=True)
@@ -269,7 +267,8 @@ def main(argv=None):
 
     p = sub.add_parser("anneal-sim", help="dense Ising-machine emulation")
     p.add_argument("--model", required=True)
-    p.add_argument("--schedule", default="nesterov_nonconvex")
+    p.add_argument("--schedule", choices=_SCHEDULES,
+                   default="nesterov_nonconvex")
     p.add_argument("--stepsize", type=float, default=1e-3)
     p.add_argument("--tf", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)

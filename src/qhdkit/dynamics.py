@@ -16,6 +16,7 @@ Conventions pinned for reproducibility across modules:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,38 +27,36 @@ from .mesh import (PERIODIC, DiagonalOperator, Mesh, WaveFunction,
                    discretize_objective, success_mask, uniform_state,
                    within_radius)
 
-TWO_PARAM = "two_param"
-THREE_PARAM = "three_param"
-PIECEWISE_ANNEAL = "piecewise_anneal"
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Time-dependent coefficients of the evolution.
 
     ``kinetic_coeff(t)`` and ``potential_coeff(t)`` return the positive
-    multipliers of the kinetic and potential terms. Three-parameter schedules
-    additionally expose alpha, beta, gamma with kinetic = exp(alpha - gamma)
-    and potential = exp(alpha + beta + gamma). Annealing schedules expose the
-    interpolation fraction ``anneal_fraction(t)`` in [0, 1] plus envelope
-    functions of that fraction.
+    multipliers e^{phi_t} and e^{chi_t} of the kinetic and potential terms.
+    ``kind`` names the shape, read from the optional fields that are set:
+    ``"three_param"`` schedules carry alpha, beta, gamma with kinetic =
+    exp(alpha - gamma) and potential = exp(alpha + beta + gamma);
+    ``"piecewise_anneal"`` schedules carry the fraction g(t) =
+    ``anneal_fraction(t)`` in [0, 1] with kinetic 1 - g and potential g;
+    ``"two_param"`` schedules carry neither.
     """
 
-    kind: str
-    kinetic_coeff: object = None
-    potential_coeff: object = None
+    kinetic_coeff: object
+    potential_coeff: object
+    anneal_fraction: object = None
     alpha: object = None
     beta: object = None
     gamma: object = None
-    anneal_fraction: object = None
-    envelope_a: object = None
-    envelope_b: object = None
-    knots: tuple = None
-    horizon: float = None
-    name: str = ""
+
+    @property
+    def kind(self) -> str:
+        if self.anneal_fraction is not None:
+            return "piecewise_anneal"
+        return "two_param" if self.alpha is None else "three_param"
 
 
-def _three_param_schedule(alpha, beta, gamma, name, sample_times):
+def _three_param_schedule(alpha, beta, gamma,
+                          sample_times=np.linspace(0.5, 50.0, 100)):
     def kin(t):
         return np.exp(alpha(t) - gamma(t))
 
@@ -65,8 +64,8 @@ def _three_param_schedule(alpha, beta, gamma, name, sample_times):
         return np.exp(alpha(t) + beta(t) + gamma(t))
 
     _validate_ideal_scaling(alpha, beta, gamma, sample_times)
-    return Schedule(kind=THREE_PARAM, kinetic_coeff=kin, potential_coeff=pot,
-                    alpha=alpha, beta=beta, gamma=gamma, name=name)
+    return Schedule(kinetic_coeff=kin, potential_coeff=pot,
+                    alpha=alpha, beta=beta, gamma=gamma)
 
 
 def _validate_ideal_scaling(alpha, beta, gamma, sample_times, rtol=1e-6):
@@ -87,7 +86,19 @@ def _validate_ideal_scaling(alpha, beta, gamma, sample_times, rtol=1e-6):
                 f"exp(alpha) = {ea}", t=t)
 
 
-def _piecewise_schedule(knots, envelope_a, envelope_b, name):
+def _anneal_schedule(g) -> Schedule:
+    return Schedule(kinetic_coeff=lambda t: 1.0 - g(t), potential_coeff=g,
+                    anneal_fraction=g)
+
+
+def _positive_horizon(horizon) -> float:
+    T = float(horizon)
+    if not T > 0:
+        raise ValueError("horizon must be positive")
+    return T
+
+
+def _piecewise_schedule(knots) -> Schedule:
     knots = tuple((float(t), float(s)) for t, s in knots)
     ts = np.array([t for t, _ in knots])
     ss = np.array([s for _, s in knots])
@@ -97,90 +108,73 @@ def _piecewise_schedule(knots, envelope_a, envelope_b, name):
         raise ValueError("knot fractions must be non-decreasing")
     if ss[0] != 0.0 or ss[-1] != 1.0:
         raise ValueError("knot fractions must start at 0 and end at 1")
+    return _anneal_schedule(lambda t: float(np.interp(t, ts, ss)))
 
-    def g(t):
-        return float(np.interp(t, ts, ss))
 
-    env_a = envelope_a if envelope_a is not None else (lambda s: 1.0 - s)
-    env_b = envelope_b if envelope_b is not None else (lambda s: s)
-    return Schedule(kind=PIECEWISE_ANNEAL,
-                    kinetic_coeff=lambda t: env_a(g(t)),
-                    potential_coeff=lambda t: env_b(g(t)),
-                    anneal_fraction=g, envelope_a=env_a, envelope_b=env_b,
-                    knots=knots, horizon=ts[-1], name=name)
+def _nesterov_nonconvex(stepsize=1e-3) -> Schedule:
+    s = float(stepsize)
+    if s <= 0:
+        raise ValueError("stepsize must be positive")
+    return Schedule(kinetic_coeff=lambda t: 2.0 / (s + t ** 3),
+                    potential_coeff=lambda t: 2.0 * t ** 3)
+
+
+def _local_adiabatic(horizon) -> Schedule:
+    T = _positive_horizon(horizon)
+    # fraction whose rate tracks the squared instantaneous gap of the
+    # unstructured-search model over N = 2^12 levels; closed form via
+    # arctan inversion
+    root = np.sqrt(2.0 ** 12 - 1.0)
+    theta = np.arctan(root)
+    return _anneal_schedule(lambda t: float(
+        0.5 + np.tan((2.0 * t / T - 1.0) * theta) / (2.0 * root)))
+
+
+_BUILTINS = {
+    "nesterov_nonconvex": _nesterov_nonconvex,
+    "nesterov_three_param": lambda: _three_param_schedule(
+        alpha=lambda t: np.log(2.0 / t), beta=lambda t: 2.0 * np.log(t),
+        gamma=lambda t: 2.0 * np.log(t)),
+    "linear_qaa": lambda horizon: _piecewise_schedule(
+        [(0.0, 0.0), (_positive_horizon(horizon), 1.0)]),
+    "custom_piecewise": _piecewise_schedule,
+    "local_adiabatic": _local_adiabatic,
+    "raw": lambda kinetic, potential: Schedule(kinetic, potential),
+    "three_param_raw": _three_param_schedule,
+}
 
 
 def make_schedule(kind: str, **params) -> Schedule:
     """Build and validate a named schedule.
 
-    Built-ins:
+    Built-ins, with their keyword parameters:
 
-    * ``nesterov_nonconvex`` (stepsize): kinetic 2/(stepsize + t^3),
+    * ``nesterov_nonconvex`` (stepsize=1e-3): kinetic 2/(stepsize + t^3),
       potential 2 t^3; the regularized descent default.
     * ``nesterov_three_param``: alpha = log(2/t), beta = gamma = 2 log t.
     * ``linear_qaa`` (horizon): interpolation fraction g(t) = t / horizon.
-    * ``custom_piecewise`` (knots, envelope_a, envelope_b): piecewise-linear
-      fraction through (t, s) knots.
-    * ``local_adiabatic`` (horizon, levels): gap-adapted fraction from the
-      unstructured-search literature (optional extra, not gate-checked).
+    * ``custom_piecewise`` (knots): piecewise-linear fraction through
+      (t, s) knots.
+    * ``local_adiabatic`` (horizon): gap-adapted fraction from the
+      unstructured-search literature over 2^12 levels (optional extra, not
+      gate-checked).
     * ``raw`` (kinetic, potential): user-supplied coefficient functions.
-    * ``three_param_raw`` (alpha, beta, gamma): validated against the ideal
-      scaling conditions gamma' = exp(alpha), beta' <= exp(alpha).
+    * ``three_param_raw`` (alpha, beta, gamma, sample_times): validated
+      against the ideal scaling conditions gamma' = exp(alpha),
+      beta' <= exp(alpha) at ``sample_times``.
+
+    Annealing fractions drive kinetic 1 - g and potential g. An unknown
+    kind, an unknown parameter or a missing required one raises
+    ``ValueError`` naming it.
     """
-    sample_times = params.pop("sample_times", np.linspace(0.5, 50.0, 100))
-    if kind == "nesterov_nonconvex":
-        s = float(params.pop("stepsize", 1e-3))
-        if s <= 0:
-            raise ValueError("stepsize must be positive")
-        return Schedule(kind=TWO_PARAM,
-                        kinetic_coeff=lambda t: 2.0 / (s + t ** 3),
-                        potential_coeff=lambda t: 2.0 * t ** 3,
-                        name=f"nesterov_nonconvex(s={s})")
-    if kind == "nesterov_three_param":
-        return _three_param_schedule(
-            alpha=lambda t: np.log(2.0 / t),
-            beta=lambda t: 2.0 * np.log(t),
-            gamma=lambda t: 2.0 * np.log(t),
-            name="nesterov_three_param", sample_times=sample_times)
-    if kind == "linear_qaa":
-        T = float(params.pop("horizon"))
-        if T <= 0:
-            raise ValueError("horizon must be positive")
-        return _piecewise_schedule([(0.0, 0.0), (T, 1.0)], None, None,
-                                   name=f"linear_qaa(T={T})")
-    if kind == "custom_piecewise":
-        return _piecewise_schedule(params.pop("knots"),
-                                   params.pop("envelope_a", None),
-                                   params.pop("envelope_b", None),
-                                   name="custom_piecewise")
-    if kind == "local_adiabatic":
-        T = float(params.pop("horizon"))
-        N = float(params.pop("levels", 2 ** 12))
-        # fraction whose rate tracks the squared instantaneous gap of the
-        # unstructured-search model; closed form via arctan inversion
-        root = np.sqrt(N - 1.0)
-        theta = np.arctan(root)
-
-        def g(t):
-            return float(0.5 + np.tan((2.0 * t / T - 1.0) * theta)
-                         / (2.0 * root))
-
-        return Schedule(kind=PIECEWISE_ANNEAL,
-                        kinetic_coeff=lambda t: 1.0 - g(t),
-                        potential_coeff=lambda t: g(t),
-                        anneal_fraction=g, horizon=T,
-                        name="local_adiabatic")
-    if kind == "raw":
-        return Schedule(kind=TWO_PARAM,
-                        kinetic_coeff=params.pop("kinetic"),
-                        potential_coeff=params.pop("potential"),
-                        name=params.pop("name", "raw"))
-    if kind == "three_param_raw":
-        return _three_param_schedule(params.pop("alpha"), params.pop("beta"),
-                                     params.pop("gamma"),
-                                     name=params.pop("name", "three_param_raw"),
-                                     sample_times=sample_times)
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    build = _BUILTINS.get(kind)
+    if build is None:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError as err:
+        raise ValueError(f"schedule {kind!r}: {err}") from None
+    return build(**params)
 
 
 def dilate_schedule(sched: Schedule, tau, tau_dot, sample_times=None) -> Schedule:
@@ -196,19 +190,16 @@ def dilate_schedule(sched: Schedule, tau, tau_dot, sample_times=None) -> Schedul
     taus = [tau(t) for t in sample_times]
     if np.any(np.diff(taus) <= 0):
         raise ValueError("tau must be increasing")
-    if sched.kind == THREE_PARAM:
+    if sched.kind == "three_param":
         a, b, g = sched.alpha, sched.beta, sched.gamma
         return _three_param_schedule(
             alpha=lambda t: a(tau(t)) + np.log(tau_dot(t)),
             beta=lambda t: b(tau(t)),
-            gamma=lambda t: g(tau(t)),
-            name=sched.name + "_dilated", sample_times=sample_times)
-    if sched.kind == TWO_PARAM:
+            gamma=lambda t: g(tau(t)), sample_times=sample_times)
+    if sched.kind == "two_param":
         kin, pot = sched.kinetic_coeff, sched.potential_coeff
-        return Schedule(kind=TWO_PARAM,
-                        kinetic_coeff=lambda t: tau_dot(t) * kin(tau(t)),
-                        potential_coeff=lambda t: tau_dot(t) * pot(tau(t)),
-                        name=sched.name + "_dilated")
+        return Schedule(kinetic_coeff=lambda t: tau_dot(t) * kin(tau(t)),
+                        potential_coeff=lambda t: tau_dot(t) * pot(tau(t)))
     raise ValueError("only descent schedules can be time-dilated")
 
 

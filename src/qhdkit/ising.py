@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .dynamics import (Schedule, Trajectory, _check_finite, _Recorder,
                        _step_count)
-from .errors import ResourceError, StabilityError
+from .errors import DomainError, ResourceError, StabilityError
 from .mesh import DIRICHLET, Mesh, WaveFunction, kron_sum, success_mask
 from .objectives import QpInstance, qp_objective
 
@@ -360,31 +360,37 @@ def verify_subspace_encoding(H_dense, V, H_target, tol: float) -> dict:
 # Time-energy rescaling
 # ---------------------------------------------------------------------------
 
+def schedule_envelope(sched: Schedule, r: int, lam: float,
+                      t_f: float) -> AnnealEnvelope:
+    """Machine envelopes of a descent schedule at time dilation ``lam``:
+    A(t)/h = lam r^{3/2} kinetic(lam t), B(t)/h = 2 lam potential(lam t)."""
+    kin, pot = sched.kinetic_coeff, sched.potential_coeff
+    return AnnealEnvelope(
+        time_dilation=lam, t_f=t_f,
+        a_over_h=lambda t: lam * r ** 1.5 * kin(lam * t),
+        b_over_h=lambda t: 2.0 * lam * pot(lam * t))
+
+
 def anneal_rescale(sched: Schedule, r: int, machine) -> AnnealEnvelope:
     """Express a descent schedule as machine envelopes on physical time.
 
     ``machine`` is (A0_over_h, t_f): the transverse-field value at the start
     of the anneal in Hz and the physical duration in seconds. The time
     dilation is calibrated from the start of the schedule,
-    lambda = (A(0)/h) / (r^{3/2} e^{phi_0}), and the envelopes follow
-    A(t)/h = lambda r^{3/2} kinetic(lambda t), B(t)/h = 2 lambda
-    potential(lambda t).
+    lambda = (A(0)/h) / (r^{3/2} e^{phi_0}), and the envelopes are those of
+    ``schedule_envelope`` at that lambda. A kinetic coefficient that is
+    singular, non-finite or not positive at t = 0 raises ``DomainError``.
     """
     a0_over_h, t_f = machine
-    e_phi0 = float(sched.kinetic_coeff(0.0))
-    if e_phi0 <= 0:
-        raise ValueError("schedule kinetic coefficient must be positive at 0")
-    lam = a0_over_h / (r ** 1.5 * e_phi0)
-    kin, pot = sched.kinetic_coeff, sched.potential_coeff
-
-    def a_over_h(t):
-        return lam * r ** 1.5 * kin(lam * t)
-
-    def b_over_h(t):
-        return 2.0 * lam * pot(lam * t)
-
-    return AnnealEnvelope(time_dilation=lam, t_f=t_f, a_over_h=a_over_h,
-                          b_over_h=b_over_h)
+    try:
+        e_phi0 = float(sched.kinetic_coeff(0.0))
+    except ZeroDivisionError:
+        raise DomainError("schedule kinetic coefficient is singular at "
+                          "t = 0") from None
+    if not (math.isfinite(e_phi0) and e_phi0 > 0):
+        raise DomainError("schedule kinetic coefficient must be finite and "
+                          f"positive at t = 0, got {e_phi0}")
+    return schedule_envelope(sched, r, a0_over_h / (r ** 1.5 * e_phi0), t_f)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dynamics import THREE_PARAM, Schedule, kinetic_eigenvalues
+from .dynamics import Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
                    discretize_objective, kron_sum)
@@ -319,7 +319,7 @@ def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
     position centered at the declared minimizer ``center``.
     """
     psi.mesh.require(PERIODIC)
-    if sched.kind != THREE_PARAM:
+    if sched.kind != "three_param":
         raise ValueError("the Lyapunov monitor needs a three-parameter schedule")
     if psi.mesh != f.mesh:
         raise ValueError("state and objective live on different meshes")

@@ -148,6 +148,7 @@ def test_criterion_05_high_energy_cluster_evaporates(levy_runs):
             f"{mass_above[0.5]:.4f} at t=0.5 > {mass_above[10.0]:.6f} at t=10")
 
 
+@pytest.mark.slow
 def test_criterion_06_convex_lyapunov_monotonicity():
     # sum-of-squares dynamics on a width-14 physical domain; the squeeze
     # maps the three-parameter schedule to another valid one

@@ -132,6 +132,20 @@ def test_spectrum_linear_schedule_anneals_to_last_time(tmp_path):
     assert rows["5.0"] != rows["10.0"]
 
 
+@pytest.mark.parametrize("command", ["simulate-qhd", "simulate-qaa",
+                                     "spectrum", "anneal-sim"])
+def test_unknown_schedule_fails_at_parse_time(command, tmp_path, capsys):
+    argv = [command, "--schedule", "nesterov", "--out", str(tmp_path)]
+    if command == "spectrum":
+        argv += ["--times", "1"]
+    if command == "anneal-sim":
+        argv += ["--model", str(tmp_path / "missing.txt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'nesterov'" in capsys.readouterr().err
+
+
 def test_bench_command(tmp_path):
     cfg = {"dim": 2, "sparsity": 2, "n_instances": 1, "trials": 30,
            "master_seed": 4, "truth_resolution": 8,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,8 +14,15 @@ from qhdkit.objectives import Objective
 
 def test_nesterov_nonconvex_coefficients():
     sched = qk.make_schedule("nesterov_nonconvex", stepsize=0.001)
+    assert sched.kind == "two_param"
     assert sched.kinetic_coeff(1.0) == pytest.approx(2.0 / 1.001)
     assert sched.potential_coeff(1.0) == pytest.approx(2.0)
+    for t in (0.0, 0.5, 2.0, 7.0):
+        assert sched.kinetic_coeff(t) == pytest.approx(2.0 / (0.001 + t ** 3))
+        assert sched.potential_coeff(t) == pytest.approx(2.0 * t ** 3)
+    # the default stepsize is 1e-3
+    default = qk.make_schedule("nesterov_nonconvex")
+    assert default.kinetic_coeff(1.0) == sched.kinetic_coeff(1.0)
 
 
 def test_linear_qaa_schedule():
@@ -21,6 +30,11 @@ def test_linear_qaa_schedule():
     assert sched.anneal_fraction(0.0) == 0.0
     assert sched.anneal_fraction(5.0) == pytest.approx(0.5)
     assert sched.anneal_fraction(10.0) == 1.0
+    assert sched.kind == "piecewise_anneal"
+    for t in (0.0, 2.5, 7.0, 10.0, 12.0):
+        g = min(t / 10.0, 1.0)
+        assert sched.kinetic_coeff(t) == pytest.approx(1.0 - g)
+        assert sched.potential_coeff(t) == pytest.approx(g)
 
 
 def test_custom_piecewise_knots():
@@ -28,6 +42,11 @@ def test_custom_piecewise_knots():
     sched = qk.make_schedule("custom_piecewise", knots=knots)
     assert sched.anneal_fraction(400.0) == pytest.approx(0.3)
     assert sched.anneal_fraction(520.0) == pytest.approx(0.45)
+    assert sched.kind == "piecewise_anneal"
+    for t, g in ((0.0, 0.0), (200.0, 0.15), (520.0, 0.45), (720.0, 0.8),
+                 (800.0, 1.0), (900.0, 1.0)):
+        assert sched.kinetic_coeff(t) == pytest.approx(1.0 - g)
+        assert sched.potential_coeff(t) == pytest.approx(g)
     with pytest.raises(ValueError):
         qk.make_schedule("custom_piecewise",
                          knots=[(0.0, 0.0), (1.0, 0.5), (1.0, 1.0)])
@@ -40,6 +59,69 @@ def test_ideal_scaling_accepts_nesterov_three_param():
     sched = qk.make_schedule("nesterov_three_param")
     assert sched.kinetic_coeff(2.0) == pytest.approx((2.0 / 2.0) / 4.0)
     assert sched.potential_coeff(2.0) == pytest.approx((2.0 / 2.0) * 16.0)
+    assert sched.kind == "three_param"
+    for t in (0.5, 1.0, 3.0, 10.0):
+        # alpha = log(2/t), beta = gamma = 2 log t
+        assert sched.kinetic_coeff(t) == pytest.approx(2.0 / t ** 3)
+        assert sched.potential_coeff(t) == pytest.approx(2.0 * t ** 3)
+        assert sched.alpha(t) == pytest.approx(math.log(2.0 / t))
+        assert sched.beta(t) == pytest.approx(2.0 * math.log(t))
+        assert sched.gamma(t) == pytest.approx(2.0 * math.log(t))
+
+
+def test_local_adiabatic_schedule():
+    T = 8.0
+    sched = qk.make_schedule("local_adiabatic", horizon=T)
+    assert sched.kind == "piecewise_anneal"
+    # g(t) = 1/2 + tan((2t/T - 1) theta) / (2 sqrt(N - 1)) with N = 2^12
+    # and theta = arctan(sqrt(N - 1)), so g runs from 0 to 1 over [0, T]
+    root = math.sqrt(2 ** 12 - 1)
+    theta = math.atan(root)
+    for t in (0.0, 1.0, 3.0, 4.0, 6.5, 8.0):
+        g = 0.5 + math.tan((2.0 * t / T - 1.0) * theta) / (2.0 * root)
+        assert sched.anneal_fraction(t) == pytest.approx(g, abs=1e-12)
+        assert sched.kinetic_coeff(t) == pytest.approx(1.0 - g, abs=1e-12)
+        assert sched.potential_coeff(t) == pytest.approx(g, abs=1e-12)
+    assert sched.anneal_fraction(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert sched.anneal_fraction(T / 2) == pytest.approx(0.5)
+    assert sched.anneal_fraction(T) == pytest.approx(1.0)
+
+
+def test_raw_schedules_keep_their_coefficients():
+    kin, pot = (lambda t: 3.0 / t), (lambda t: t ** 2)
+    sched = qk.make_schedule("raw", kinetic=kin, potential=pot)
+    assert sched.kind == "two_param"
+    assert sched.kinetic_coeff is kin and sched.potential_coeff is pot
+    alpha, beta = (lambda t: np.log(2.0 / t)), (lambda t: 2.0 * np.log(t))
+    sched = qk.make_schedule("three_param_raw", alpha=alpha, beta=beta,
+                             gamma=beta)
+    assert sched.kind == "three_param"
+    assert (sched.alpha, sched.beta, sched.gamma) == (alpha, beta, beta)
+    for t in (0.5, 2.0):
+        assert sched.kinetic_coeff(t) == pytest.approx(2.0 / t ** 3)
+        assert sched.potential_coeff(t) == pytest.approx(2.0 * t ** 3)
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("nesterov_nonconvex", {"stepsze": 0.01}, "stepsze"),
+    ("nesterov_three_param", {"horizon": 1.0}, "horizon"),
+    ("local_adiabatic", {"horizon": 1.0, "levels": 16}, "levels"),
+    ("linear_qaa", {}, "horizon"),
+    ("local_adiabatic", {}, "horizon"),
+    ("custom_piecewise", {}, "knots"),
+    ("raw", {"kinetic": lambda t: 1.0}, "potential"),
+    ("bogus", {}, "bogus"),
+])
+def test_make_schedule_rejects_unknown_and_missing_keys(kind, params, key):
+    with pytest.raises(ValueError, match=key):
+        qk.make_schedule(kind, **params)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -5.0])
+@pytest.mark.parametrize("kind", ["linear_qaa", "local_adiabatic"])
+def test_annealing_schedules_reject_nonpositive_horizon(kind, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        qk.make_schedule(kind, horizon=horizon)
 
 
 def test_ideal_scaling_rejects_fast_beta():
@@ -302,6 +384,13 @@ def test_dilate_rejects_decreasing_tau():
     sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
     with pytest.raises(ValueError):
         qk.dilate_schedule(sched, lambda t: -t, lambda t: -1.0)
+
+
+def test_dilate_rejects_annealing_schedule():
+    for sched in (qk.make_schedule("linear_qaa", horizon=10.0),
+                  qk.make_schedule("local_adiabatic", horizon=10.0)):
+        with pytest.raises(ValueError, match="descent schedules"):
+            qk.dilate_schedule(sched, lambda t: 2.0 * t, lambda t: 2.0)
 
 
 def test_dilated_run_matches_original_density():

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import qhdkit as qk
-from qhdkit.errors import ResourceError
+from qhdkit.errors import DomainError, ResourceError
 from qhdkit.ising import (binomial_state, bit_table, block_weights,
                           format_model, ising_energies, ising_to_qubo,
-                          parse_model, qubo_energies, qubo_to_ising)
+                          parse_model, qubo_energies, qubo_to_ising,
+                          schedule_envelope)
 from qhdkit.objectives import QpInstance, qp_objective
 
 
@@ -273,6 +274,26 @@ def test_anneal_rescale_calibration():
         lam * 8 ** 1.5 * sched.kinetic_coeff(lam * t_phys))
     assert env.b_over_h(t_phys) == pytest.approx(
         2 * lam * sched.potential_coeff(lam * t_phys))
+
+
+def test_anneal_rescale_rejects_schedule_singular_at_zero():
+    singular = [qk.make_schedule("nesterov_three_param")] + [
+        qk.make_schedule("raw", kinetic=lambda t, v=v: v,
+                         potential=lambda t: 1.0)
+        for v in (np.inf, np.nan, 0.0)]
+    for sched in singular:
+        with pytest.raises(DomainError):
+            qk.anneal_rescale(sched, 4, (9.63e9, 1e-6))
+
+
+def test_unit_dilation_envelope_is_the_schedule_scaled():
+    # anneal-sim without --physical drives the machine at lambda = 1
+    sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
+    env = schedule_envelope(sched, 4, 1.0, 2.0)
+    assert env.effective_time == 2.0
+    t = np.random.default_rng(0).uniform(0.0, 10.0, 10 ** 5)
+    assert np.array_equal(env.a_over_h(t), 4 ** 1.5 * sched.kinetic_coeff(t))
+    assert np.array_equal(env.b_over_h(t), 2.0 * sched.potential_coeff(t))
 
 
 # ---------------------------------------------------------------------------
