@@ -220,7 +220,8 @@ def main(argv=None):
     p = sub.add_parser("simulate-qaa", help="baseline adiabatic evolution")
     p.add_argument("--objective", default="levy")
     p.add_argument("--bits", type=int, default=6)
-    p.add_argument("--schedule", choices=_SCHEDULES, default="linear")
+    p.add_argument("--schedule", choices=("linear", "local_adiabatic"),
+                   default="linear")
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0,

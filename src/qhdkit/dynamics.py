@@ -6,12 +6,16 @@ Conventions pinned for reproducibility across modules:
 
 * Signed Fourier frequencies are laid out as {0, ..., N/2-1, -N/2, ..., -1}
   (the numpy FFT order); the kinetic eigenvalue of mode vector k is
-  (1/2) * sum_i (2 pi k_i)^2 on the unit box.
+  (1/2) * sum_i (2 pi k_i)^2 on the unit box. ``_axis_kinetic_eigenvalues``
+  is the one place that builds the per-axis term.
 * A step covering [t_j, t_j + dt] samples the schedule coefficients at the
   *end* of the interval, so schedules singular at t = 0 are never evaluated
   there and the first coefficients are those at t0 + dt.
 * Each split step applies the potential phase first, then the kinetic phase
-  in Fourier space.
+  in Fourier space. The kinetic phase is a product of per-axis 1-D phases,
+  since its eigenvalue is a sum over axes; the potential phase is cos/sin
+  of its angle written into a buffer made once per call; the state is
+  multiplied and transformed in place.
 """
 
 from __future__ import annotations
@@ -316,17 +320,27 @@ class _Recorder:
                           snapshots=self.snaps)
 
 
+def _axis_kinetic_eigenvalues(n: int) -> np.ndarray:
+    """(1/2)(2 pi k)^2 for the signed frequencies k of an n-node periodic
+    axis, in FFT order {0, ..., N/2-1, -N/2, ..., -1}."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return 0.5 * (2.0 * np.pi * k) ** 2
+
+
+def _axis_shapes(dim: int) -> list:
+    """Broadcast shapes that lay a 1-D array along each axis of a d-grid."""
+    return [tuple(-1 if a == ax else 1 for a in range(dim))
+            for ax in range(dim)]
+
+
 def kinetic_eigenvalues(mesh: Mesh) -> np.ndarray:
     """Eigenvalues of -(1/2) Laplacian per Fourier mode on a periodic mesh,
     shaped like the grid."""
     mesh.require(PERIODIC)
-    n = mesh.nodes_per_edge
-    k = np.fft.fftfreq(n, d=1.0 / n)  # {0,...,N/2-1,-N/2,...,-1}
+    axis = _axis_kinetic_eigenvalues(mesh.nodes_per_edge)
     out = np.zeros(mesh.shape)
-    for ax in range(mesh.dim):
-        shape = [1] * mesh.dim
-        shape[ax] = n
-        out = out + 0.5 * (2.0 * np.pi * k.reshape(shape)) ** 2
+    for shape in _axis_shapes(mesh.dim):
+        out = out + axis.reshape(shape)
     return out
 
 
@@ -337,6 +351,13 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     """Split-step Fourier evolution of the descent dynamics on a periodic
     mesh: alternating diagonal potential phases and Fourier-space kinetic
     phases with per-step coefficients from the schedule.
+
+    The state is stepped in place in one complex grid. The potential phase
+    is written as cos/sin of its angle into a complex buffer made once per
+    call; the FFTs overwrite the state. The kinetic eigenvalue is a sum over
+    axes, so its phase is a product of one length-N phase per axis, built
+    once per step and multiplied in along each axis in turn. ``psi0`` is
+    left unchanged.
 
     Records E[f], success probability (when a minimizer is known), and the
     norm at every ``observable_stride`` steps; full states at
@@ -352,15 +373,23 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
                     stride=observable_stride, mesh=mesh)
 
-    kin_eigs = kinetic_eigenvalues(mesh)
+    kin_axis = _axis_kinetic_eigenvalues(mesh.nodes_per_edge)
+    axis_shapes = _axis_shapes(mesh.dim)
     psi = (psi0.amplitudes if psi0 is not None
            else uniform_state(mesh).amplitudes).reshape(mesh.shape).copy()
+    angle = np.empty(mesh.shape)
+    phase = np.empty(mesh.shape, dtype=complex)
     for j in range(rec.n_steps):
         te = t0 + (j + 1) * dt
-        psi = np.exp(-1j * dt * sched.potential_coeff(te) * fvals) * psi
-        psi = np.fft.ifftn(
-            np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_eigs)
-            * np.fft.fftn(psi))
+        np.multiply(-dt * sched.potential_coeff(te), fvals, out=angle)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        psi *= phase
+        np.fft.fftn(psi, out=psi)
+        kin_phase = np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis)
+        for shape in axis_shapes:
+            psi *= kin_phase.reshape(shape)
+        np.fft.ifftn(psi, out=psi)
         rec.record(j + 1, psi)
     return rec.finish(psi)
 

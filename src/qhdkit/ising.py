@@ -301,16 +301,23 @@ def qubo_ising_convert(m):
 
 
 def decode_samples(bits, layout: PrecisionLayout) -> np.ndarray:
-    """Map bitstrings to points in [0,1]^d, one variable per bit block."""
-    out = np.empty((len(bits), layout.dim))
-    b = layout.bits_per_var
-    for i, s in enumerate(bits):
+    """Map bitstrings to points in [0,1]^d, one variable per bit block.
+
+    A bitstring of the wrong length or with a character other than 0 or 1
+    raises ``ValueError`` naming it."""
+    bits = list(bits)
+    for s in bits:
         if len(s) != layout.n:
             raise ValueError(
                 f"bitstring {s!r} has length {len(s)}, expected {layout.n}")
-        arr = np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
-        out[i] = arr.reshape(layout.dim, b) @ layout.precision
-    return out
+    # one uint32 code point per character, a row per bitstring
+    digits = np.array(bits, dtype=f"U{layout.n}").view(np.uint32).reshape(
+        len(bits), layout.dim, layout.bits_per_var) - ord("0")
+    bad = np.flatnonzero((digits > 1).any(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"bitstring {bits[bad[0]]!r} has a character "
+                         f"other than 0 and 1")
+    return digits @ layout.precision
 
 
 def ising_energies(model: IsingModel, include_offset: bool = True) -> np.ndarray:
@@ -540,13 +547,18 @@ def format_model(model, layout: PrecisionLayout = None) -> str:
 
 
 def parse_model(text: str):
-    """Inverse of format_model; returns (model, layout_or_None)."""
+    """Inverse of format_model; returns (model, layout_or_None).
+
+    A term line before the header, a second header, an unknown layout
+    encoding, an index outside [0, n) or a repeated term raises
+    ``ValueError`` naming the line."""
     kind = None
     n = None
     offset = 0.0
     layout = None
     lin = None
     quad = {}
+    seen = set()
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -554,6 +566,8 @@ def parse_model(text: str):
         if line.startswith("#"):
             fields = line[1:].split()
             if fields and fields[0] in ("qubo", "ising"):
+                if kind is not None:
+                    raise ValueError(f"second model header {line!r}")
                 kind = fields[0]
                 kv = dict(f.split("=", 1) for f in fields[1:])
                 n = int(kv["n"])
@@ -561,18 +575,26 @@ def parse_model(text: str):
                 lin = np.zeros(n)
             elif fields and fields[0] == "layout":
                 kv = dict(f.split("=", 1) for f in fields[1:])
-                layout_kind = kv["encoding"]
-                d, b = int(kv["vars"]), int(kv["bits"])
-                layout = (PrecisionLayout.hamming(d, b)
-                          if layout_kind == "hamming"
-                          else PrecisionLayout.radix2(d, b))
+                build = {"hamming": PrecisionLayout.hamming,
+                         "radix2": PrecisionLayout.radix2}.get(kv["encoding"])
+                if build is None:
+                    raise ValueError(f"unknown layout encoding in {line!r}")
+                layout = build(int(kv["vars"]), int(kv["bits"]))
             continue
+        if kind is None:
+            raise ValueError(f"term line {line!r} before the model header")
         i_s, j_s, v_s = line.split()
         i, j, v = int(i_s), int(j_s), float(v_s)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"term line {line!r}: index outside [0, {n})")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"term line {line!r}: duplicate term {key}")
+        seen.add(key)
         if i == j:
             lin[i] = v
         else:
-            quad[(min(i, j), max(i, j))] = v
+            quad[key] = v
     if kind is None:
         raise ValueError("missing model header line")
     if kind == "qubo":

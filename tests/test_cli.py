@@ -146,6 +146,19 @@ def test_unknown_schedule_fails_at_parse_time(command, tmp_path, capsys):
     assert "invalid choice: 'nesterov'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule", ["nesterov_nonconvex",
+                                      "nesterov_three_param"])
+def test_simulate_qaa_rejects_descent_schedule(schedule, tmp_path, capsys):
+    # QAA needs an annealing fraction; a descent schedule used to pass
+    # parsing and fail only after the radix-2 problem was tabulated
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate-qaa", "--bits", "4", "--schedule", schedule,
+              "--T", "1", "--dt", "1e-2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"invalid choice: {schedule!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bench_command(tmp_path):
     cfg = {"dim": 2, "sparsity": 2, "n_instances": 1, "trials": 30,
            "master_seed": 4, "truth_resolution": 8,

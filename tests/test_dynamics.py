@@ -9,6 +9,7 @@ import qhdkit as qk
 from qhdkit.dynamics import Radix2Problem, _flip_apply, kinetic_eigenvalues
 from qhdkit.errors import (ScheduleValidationError, StabilityError,
                            StepGridError)
+from qhdkit.mesh import success_mask
 from qhdkit.objectives import Objective
 
 
@@ -181,6 +182,87 @@ def test_qhd_snapshot_grid_validation():
     sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
     with pytest.raises(ValueError):
         qk.qhd_evolve(mesh, f1, sched, 1.0, 1e-2, snapshot_times=[0.555])
+
+
+def _reference_split_steps(mesh, fvals, sched, t0, n_steps, dt, psi):
+    """States after each step of the textbook split step: a full-grid
+    potential phase, then a full-grid kinetic phase between fftn and ifftn,
+    coefficients sampled at the end of each step."""
+    kin = kinetic_eigenvalues(mesh)
+    fvals = fvals.reshape(mesh.shape)
+    psi = psi.reshape(mesh.shape)
+    states = []
+    for j in range(n_steps):
+        te = t0 + (j + 1) * dt
+        psi = np.exp(-1j * dt * sched.potential_coeff(te) * fvals) * psi
+        psi = np.fft.ifftn(np.exp(-1j * dt * sched.kinetic_coeff(te) * kin)
+                           * np.fft.fftn(psi))
+        states.append(psi.reshape(-1))
+    return states
+
+
+def _random_state(mesh, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
+    return qk.WaveFunction(mesh, amp / np.linalg.norm(amp))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8)])
+def test_qhd_evolve_matches_reference_split_step(dim, n):
+    mesh = qk.Mesh(dim, n, qk.PERIODIC)
+    x_star = np.full(dim, 0.3)
+    f = Objective(dim=dim, minimizer=x_star, eval_fn=lambda x: 40.0 * np.sum(
+        (np.atleast_2d(x) - 0.3) ** 2, axis=1) + np.cos(9.0 * x[:, 0]))
+    sched = qk.make_schedule("nesterov_three_param")
+    t0, dt, n_steps, stride = 0.5, 1e-2, 30, 4
+    psi0 = _random_state(mesh, seed=dim)
+    traj = qk.qhd_evolve(mesh, f, sched, t0 + n_steps * dt, dt, psi0,
+                         snapshot_times=[0.6, 0.7], t0=t0,
+                         success_radius=0.2, observable_stride=stride)
+
+    fvals = qk.discretize_objective(mesh, f).values
+    smask = success_mask(mesh, x_star, 0.2)
+    ref = _reference_split_steps(mesh, fvals, sched, t0, n_steps, dt,
+                                 psi0.amplitudes)
+    steps = [s for s in range(1, n_steps + 1)
+             if s % stride == 0 or s == n_steps]
+    np.testing.assert_allclose(traj.times, [t0 + s * dt for s in steps])
+    prob = np.array([np.abs(ref[s - 1]) ** 2 for s in steps])
+    norm = prob.sum(axis=1)
+    np.testing.assert_allclose(traj.observables["norm"], norm,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.observables["Ef"],
+                               prob @ fvals / norm, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(traj.observables["success_prob"],
+                               prob[:, smask].sum(axis=1) / norm,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.snapshot_times, [0.6, 0.7, 0.8])
+    for snap, s in zip(traj.snapshots, (10, 20, 30)):
+        want = ref[s - 1] / np.linalg.norm(ref[s - 1])
+        np.testing.assert_allclose(snap.amplitudes, want, rtol=0, atol=1e-12)
+
+
+def test_qhd_evolve_leaves_psi0_and_snapshots_alone():
+    mesh = qk.Mesh(2, 16, qk.PERIODIC)
+    f = qk.get_objective("levy")
+    sched = qk.make_schedule("nesterov_three_param")
+    psi0 = _random_state(mesh, seed=7)
+    before = psi0.amplitudes.copy()
+    traj = qk.qhd_evolve(mesh, f, sched, 1.3, 1e-2, psi0,
+                         snapshot_times=[1.1, 1.2], t0=1.0)
+    assert np.array_equal(psi0.amplitudes, before)
+
+    # each snapshot holds the state at its own time, not a view of the
+    # state the later in-place steps go on to overwrite
+    ref = _reference_split_steps(mesh, qk.discretize_objective(mesh, f).values,
+                                 sched, 1.0, 30, 1e-2, before)
+    for snap, s in zip(traj.snapshots, (10, 20, 30)):
+        np.testing.assert_allclose(snap.amplitudes, ref[s - 1], rtol=0,
+                                   atol=1e-12)
+    amps = [snap.amplitudes for snap in traj.snapshots]
+    assert not np.allclose(amps[0], amps[1])
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(amps)
+                   for b in amps[i + 1:])
 
 
 def _run_engine(engine, T, dt, **kw):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,14 @@ def test_decode_samples():
         qk.decode_samples(["101"], rad)
 
 
+@pytest.mark.parametrize("bad", ["0021", "01a1", "0 11", "-101", "01\u00e91"])
+def test_decode_samples_rejects_non_binary_characters(bad):
+    # '0021' used to decode silently to 0.75
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        qk.decode_samples(["0110", bad, "1111"],
+                          qk.PrecisionLayout.hamming(1, 4))
+
+
 def test_anneal_rescale_calibration():
     sched = qk.make_schedule("nesterov_nonconvex", stepsize=0.004)
     assert sched.kinetic_coeff(0.0) == pytest.approx(500.0)
@@ -439,6 +448,24 @@ def test_model_file_roundtrip():
     assert np.array_equal(back2.h, ising.h)
     assert back2.J == ising.J
     assert back2.offset == ising.offset
+
+
+@pytest.mark.parametrize("text, why", [
+    ("0 1 0.5\n# qubo n=2 offset=0.0\n", "before the model header"),
+    ("1 1 0.5\n# qubo n=2 offset=0.0\n", "before the model header"),
+    ("# qubo n=2 offset=0.0\n0 2 0.5\n", "outside"),
+    ("# ising n=2 offset=0.0\n2 2 0.5\n", "outside"),
+    ("# ising n=2 offset=0.0\n-1 1 0.5\n", "outside"),
+    ("# qubo n=3 offset=0.0\n0 1 0.5\n0 1 0.7\n", "duplicate"),
+    ("# qubo n=3 offset=0.0\n0 1 0.5\n1 0 0.7\n", "duplicate"),
+    ("# ising n=3 offset=0.0\n2 2 0.5\n2 2 0.5\n", "duplicate"),
+    ("# qubo n=2 offset=0.0\n0 0 1.5\n# qubo n=2 offset=0.0\n", "second"),
+    ("# qubo n=2 offset=0.0\n# layout encoding=bogus vars=1 bits=2\n",
+     "encoding"),
+])
+def test_parse_model_rejects_malformed_input(text, why):
+    with pytest.raises(ValueError, match=why):
+        parse_model(text)
 
 
 def test_model_key_validation():
