@@ -212,6 +212,13 @@ def tcount(d: int, s: int, R: int, q: int) -> int:
 MACHINE_A0_OVER_H = 9.63e9
 
 
+#: keys each solver reads besides "name" and "refine"
+_SOLVER_KEYS = {"exact_oracle": {"t_f"}, "uniform_grid": {"resolution", "t_f"},
+                "relaxed_qhd": {"resolution", "T", "dt", "stepsize"},
+                "nagd": {"steps", "stepsize"},
+                "sgd": {"steps", "stepsize", "noise_sigma"}}
+
+
 def _solver_trials(solver, qp, f_star, trials, seed):
     """Run one solver on one instance; returns (p_s, t_f_seconds)."""
     name = solver["name"]
@@ -254,8 +261,6 @@ def _solver_trials(solver, qp, f_star, trials, seed):
                              seed=int(rng.integers(2 ** 31)))
             points[i] = tr.points[-1]
         t_f = steps * s_lr
-    else:
-        raise ValueError(f"unknown solver {name!r}")
 
     hits = 0
     for x in points:
@@ -272,11 +277,20 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
 
     All randomness flows from the master seed, so repeated runs produce
     byte-identical CSV output; wall-clock timings are reported only in the
-    metadata file. Per-instance solver failures are recorded and the run
-    continues; the return value carries one TtsReport per (instance, solver).
+    metadata file. An unknown solver name or key raises ``ValueError`` before
+    any compute; later solver failures are recorded and the run continues.
+    Returns one TtsReport per successful (instance, solver).
     """
     import pathlib
 
+    for solver in config.solvers:
+        name = solver.get("name")
+        if name not in _SOLVER_KEYS:
+            raise ValueError(f"unknown solver {name!r}")
+        unknown = set(solver) - _SOLVER_KEYS[name] - {"name", "refine"}
+        if unknown:
+            raise ValueError(f"solver {name!r}: unknown keys "
+                             f"{sorted(unknown)}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(config.master_seed).generate_state(

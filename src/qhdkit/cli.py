@@ -157,17 +157,14 @@ def cmd_anneal_sim(args):
     prob = np.abs(state) ** 2
     rng = np.random.default_rng(args.seed)
     draws = rng.choice(prob.size, size=args.shots, p=prob / prob.sum())
-    counts = {}
-    for b in draws:
-        counts[int(b)] = counts.get(int(b), 0) + 1
-    energies = ising.ising_energies(model)
-    rows = []
-    for b in sorted(counts, key=lambda b: (-counts[b], b)):
-        bits = format(b, f"0{model.n}b")
-        point = ising.decode_samples([bits], layout)[0]
-        rows.append((bits, counts[b],
-                     " ".join(repr(float(x)) for x in point),
-                     float(energies[b])))
+    uniq, counts = np.unique(draws, return_counts=True)
+    # by count, descending, then by bitstring
+    order = np.lexsort((uniq, -counts))
+    bits = [format(int(b), f"0{model.n}b") for b in uniq[order]]
+    points = ising.decode_samples(bits, layout)
+    energies = ising.ising_energies(model)[uniq[order]]
+    rows = [(s, int(c), " ".join(repr(float(x)) for x in point), float(e))
+            for s, c, point, e in zip(bits, counts[order], points, energies)]
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _csv_write(out, "bitstring,count,decoded,energy", rows)

@@ -248,11 +248,6 @@ def _step_count(t0, T, dt) -> int:
     return n
 
 
-def _check_finite(nrm: float, step: int):
-    if not np.isfinite(nrm):
-        raise BlowupError(f"non-finite amplitudes at step {step}", step=step)
-
-
 class _Recorder:
     """Bookkeeping shared by the evolution engines.
 
@@ -286,7 +281,9 @@ class _Recorder:
     def observe(self, step: int, prob: np.ndarray):
         """Record the observables of the density ``prob`` after ``step``."""
         nrm = float(prob.sum())
-        _check_finite(nrm, step - 1)
+        if not np.isfinite(nrm):
+            raise BlowupError(f"non-finite amplitudes at step {step - 1}",
+                              step=step - 1)
         self.times.append(self.t0 + step * self.dt)
         self.norms.append(nrm)
         self.efs.append(float(np.sum(prob * self.fvals)) / nrm)

@@ -1,7 +1,7 @@
 """Analog-implementation pipeline: Hamming and radix-2 encodings of box QPs
-into Ising/QUBO coefficient sets, time-energy rescaling, sample decoding, the
-relaxed grid reference evolution, and a dense transverse-field Ising
-simulator used as a correctness oracle for the subspace encodings.
+into Ising/QUBO coefficient sets, time-energy rescaling, sample decoding, and
+one Strang loop for the relaxed grid reference evolution and, at r = 1, for
+the dense transverse-field Ising machine that checks the subspace encodings.
 
 Bit conventions (fixed): computational basis states are indexed by integers
 whose binary digits give the qubit values with qubit 0 as the most
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import (Schedule, Trajectory, _check_finite, _Recorder,
-                       _step_count)
+from .dynamics import Schedule, Trajectory, _Recorder, _step_count
 from .errors import DomainError, ResourceError, StabilityError
 from .mesh import DIRICHLET, Mesh, WaveFunction, kron_sum, success_mask
 from .objectives import QpInstance, qp_objective
@@ -162,8 +161,8 @@ def bit_table(n: int) -> np.ndarray:
 
 def block_weights(n: int, dim: int) -> np.ndarray:
     """(2^n, dim) Hamming weights of each variable's qubit block."""
-    if n % dim != 0:
-        raise ValueError("qubit count is not divisible by variable count")
+    if dim < 1 or n % dim:
+        raise ValueError(f"{n} qubits do not split into {dim} variable blocks")
     b = n // dim
     bits = bit_table(n)
     return np.stack([bits[:, p * b:(p + 1) * b].sum(axis=1)
@@ -416,6 +415,29 @@ def binomial_state(r: int, d: int) -> WaveFunction:
     return WaveFunction(mesh, amp.reshape(-1).astype(complex))
 
 
+def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
+    """The one Strang loop: from the per-axis binomial state on the grid of
+    ``fvals``, evolve under -kin(t) A + pot(t) diag(fvals), A being
+    ``relaxed_adjacency(r, 1)`` along every axis, with midpoint coefficients
+    on the step grid of ``rec``; records each step and returns the state."""
+    lam, vecs = np.linalg.eigh(relaxed_adjacency(r, 1).toarray())
+    t0, dt = rec.t0, rec.dt
+    psi = binomial_state(r, fvals.ndim).amplitudes.reshape(fvals.shape)
+    for j in range(rec.n_steps):
+        tm = t0 + (j + 0.5) * dt
+        half_pot = np.exp(-0.5j * dt * pot(tm) * fvals)
+        kin_u = (vecs * np.exp(1j * dt * kin(tm) * lam)) @ vecs.T
+        # eigh's vecs are orthogonal only to an ulp, the same way every
+        # step, which drifts the norm; a Newton-Schulz polar step stops that
+        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (kin_u.conj().T @ kin_u)
+        psi = half_pot * psi
+        for _ in range(psi.ndim):   # each contraction moves its axis last
+            psi = np.tensordot(psi, kin_u, axes=(0, 1))
+        psi = half_pot * psi
+        rec.record(j + 1, psi)
+    return psi
+
+
 def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
                        dt: float, *, t0: float = 0.0, snapshot_times=(),
                        x_star=None, success_radius: float = 0.1) -> Trajectory:
@@ -423,40 +445,24 @@ def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
 
         i d/dt phi = [-(kin(t) r^2 / 2) A'_d + pot(t) F_d] phi
 
-    from the per-axis binomial state. The kinetic factor applies exact
-    per-axis matrix exponentials of the relaxed coupling; coefficients are
-    sampled at step midpoints. The r^2 factor restores the inverse squared
-    cell width of the grid Laplacian; together with the 1/sqrt(r) inside the
-    relaxed coupling it is what the transverse-field envelope's r^{3/2}
-    realizes on the machine side.
+    from the per-axis binomial state by the Strang loop the Ising machine
+    shares: exact per-axis matrix exponentials of the relaxed coupling,
+    coefficients sampled at step midpoints. The r^2 factor restores the
+    inverse squared cell width of the grid Laplacian; together with the
+    1/sqrt(r) inside the relaxed coupling it is what the transverse-field
+    envelope's r^{3/2} realizes on the machine side.
     """
-    d = qp.dim
-    mesh = Mesh(d, r, DIRICHLET)
+    mesh = Mesh(qp.dim, r, DIRICHLET)
     if mesh.size > RELAXED_GRID_CAP:
         raise ResourceError(f"grid of {mesh.size} nodes exceeds the cap")
     fvals = np.asarray(qp_objective(qp)(mesh.node_coords())).reshape(mesh.shape)
-
-    a1 = relaxed_adjacency(r, 1).toarray()
-    evals, evecs = np.linalg.eigh(a1)
-
-    psi = binomial_state(r, d).amplitudes.reshape(mesh.shape)
     smask = (success_mask(mesh, x_star, success_radius).reshape(mesh.shape)
              if x_star is not None else None)
     rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
                     mesh=mesh)
-    for j in range(rec.n_steps):
-        tm = t0 + (j + 0.5) * dt
-        half_pot = np.exp(-0.5j * dt * sched.potential_coeff(tm) * fvals)
-        kin_phase = np.exp(1j * dt * sched.kinetic_coeff(tm)
-                           * (r ** 2 / 2.0) * evals)
-        psi = half_pot * psi
-        for ax in range(d):
-            psi = np.moveaxis(
-                np.tensordot(evecs * kin_phase, np.tensordot(
-                    evecs.T, psi, axes=(1, ax)), axes=(1, 0)), 0, ax)
-        psi = half_pot * psi
-        rec.record(j + 1, psi)
-    return rec.finish(psi)
+    kin, pot = sched.kinetic_coeff, sched.potential_coeff
+    return rec.finish(_strang_evolve(
+        fvals, r, lambda t: kin(t) * r ** 2 / 2.0, pot, rec))
 
 
 def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
@@ -465,12 +471,13 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
 
         H(t)/h = -(A(t)/2h) sum_j sigma_x^(j) + (B(t)/2h) (h.z + J.zz)
 
-    from the uniform superposition, using the same Strang splitting and
-    midpoint coefficient sampling as the relaxed grid engine; each factor is
-    an exact unitary (single-qubit rotations and diagonal phases). The
+    from the uniform superposition: the relaxed grid loop at r = 1 on the
+    (2,)*n grid, where ``relaxed_adjacency(1, 1)`` is sigma_x. The
     programmable part carries no constant offset; relative to an encoded
     reference evolution that difference is a global phase and leaves all
-    probabilities unchanged.
+    probabilities unchanged. An ``n_vars`` that does not divide n raises
+    ``ValueError`` before any step, a norm drift beyond 1e-8 at one of
+    about 50 checks ``StabilityError``.
 
     Returns (final_state, marginals) where marginals[k][j] is the
     probability of block-k Hamming weight j.
@@ -478,42 +485,24 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
     n = model.n
     if n > DENSE_QUBITS_CAP:
         raise ResourceError(f"{n} qubits exceed the dense cap")
+    weights = block_weights(n, n_vars)   # rejects a bad n_vars up front
     if isinstance(env, AnnealEnvelope):
         a_fn, b_fn = env.a_over_h, env.b_over_h
     else:
         a_fn, b_fn = env
     diag = ising_energies(model, include_offset=False).reshape((2,) * n)
 
-    psi = np.full((2,) * n, 2.0 ** (-n / 2.0), dtype=complex)
-    n_steps = _step_count(0.0, t_f, dt)
-    check_every = max(1, n_steps // 50)
-    for step in range(n_steps):
-        tm = (step + 0.5) * dt
-        a, b = a_fn(tm), b_fn(tm)
-        half = np.exp(-0.5j * dt * (b / 2.0) * diag)
-        psi = half * psi
-        theta = dt * a / 2.0
-        c, s = np.cos(theta), 1j * np.sin(theta)
-        for q in range(n):
-            moved = np.moveaxis(psi, q, 0)
-            v0, v1 = moved[0].copy(), moved[1]
-            moved[0] = c * v0 + s * v1
-            moved[1] = s * v0 + c * v1
-        psi = half * psi
-        if (step + 1) % check_every == 0 or step + 1 == n_steps:
-            nrm = float(np.sum(np.abs(psi) ** 2))
-            _check_finite(nrm, step)
-            if abs(nrm - 1.0) > 1e-8:
-                raise StabilityError(
-                    f"norm drift {abs(nrm - 1.0):.2e} at step {step}")
+    rec = _Recorder(0.0, t_f, dt, diag,
+                    stride=max(1, _step_count(0.0, t_f, dt) // 50))
+    psi = _strang_evolve(diag, 1, lambda t: a_fn(t) / 2.0,
+                         lambda t: b_fn(t) / 2.0, rec)
+    drift = max(abs(nrm - 1.0) for nrm in rec.norms)
+    if drift > 1e-8:
+        raise StabilityError(f"norm drift {drift:.2e}")
     flat = psi.reshape(-1)
     prob = np.abs(flat) ** 2
-    weights = block_weights(n, n_vars)
-    b_per = n // n_vars
-    marginals = [np.bincount(weights[:, k], weights=prob,
-                             minlength=b_per + 1)
-                 for k in range(n_vars)]
-    return flat, marginals
+    return flat, [np.bincount(w, weights=prob, minlength=n // n_vars + 1)
+                  for w in weights.T]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +540,7 @@ def parse_model(text: str):
 
     A term line before the header, a second header, an unknown layout
     encoding, an index outside [0, n) or a repeated term raises
-    ``ValueError`` naming the line."""
+    ``ValueError`` naming the line, as does a layout not of n bits."""
     kind = None
     n = None
     offset = 0.0
@@ -597,6 +586,8 @@ def parse_model(text: str):
             quad[key] = v
     if kind is None:
         raise ValueError("missing model header line")
+    if layout is not None and layout.n != n:
+        raise ValueError(f"layout of {layout.n} bits does not match n={n}")
     if kind == "qubo":
         return QuboModel(n=n, linear=lin, quadratic=quad, offset=offset), layout
     J = {(v, u): val for (u, v), val in quad.items()}

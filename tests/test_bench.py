@@ -171,6 +171,29 @@ def test_run_experiment_exact_oracle_and_determinism(tmp_path):
     assert meta["errors"] == []
 
 
+@pytest.mark.parametrize("solver, why", [
+    ({"name": "relaxed_qhd", "resolutoin": 2}, "resolutoin"),
+    ({"name": "uniform_grid", "T": 1.0}, "'T'"),
+    ({"name": "exact_oracle", "stepsize": 1e-3}, "stepsize"),
+    ({"name": "anneal"}, "unknown solver 'anneal'"),
+    ({"resolution": 4}, "unknown solver None"),
+])
+def test_run_experiment_rejects_bad_solver_before_any_instance(
+        solver, why, tmp_path, monkeypatch):
+    # a misspelled key used to take its default silently, and an unknown
+    # name became NaN rows and a RuntimeError after every instance had run
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(qk.bench, "generate_qp", never)
+    config = qk.ExperimentConfig(
+        dim=2, sparsity=2, n_instances=2, trials=10,
+        solvers=[{"name": "exact_oracle", "t_f": 1.0}, solver])
+    with pytest.raises(ValueError, match=why):
+        qk.run_experiment(config, tmp_path)
+    assert not (tmp_path / "tts_summary.csv").exists()
+
+
 def test_run_experiment_uniform_grid_hit_rate(tmp_path):
     # uniform grid sampling without refinement reproduces the exhaustive
     # in-gap node fraction within binomial error

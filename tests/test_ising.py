@@ -379,6 +379,126 @@ def test_dense_machine_diagonal_only_preserves_density():
     assert np.allclose(marg[0], [0.5, 0.5])
 
 
+def _random_ising(n, seed):
+    rng = np.random.default_rng(seed)
+    J = {(j, k): float(rng.uniform(-1, 1))
+         for j in range(n) for k in range(j)}
+    return qk.IsingModel(n=n, h=rng.uniform(-1, 1, n), J=J, offset=0.3)
+
+
+def test_dense_machine_matches_full_hamiltonian_ode():
+    # the machine's own oracle: the full 2^n Hamiltonian
+    # -(A/2) sum sigma_x + (B/2) diag(E) integrated as a dense ODE
+    n, T, dt = 3, 2.0, 1e-3
+    model = _random_ising(n, 41)
+    a_fn, b_fn = (lambda t: 1.5 * np.cos(t)), (lambda t: 0.5 + t ** 2)
+    state, _ = qk.simulate_ising_dense(model, (a_fn, b_fn), T, dt)
+    sx = dense_sx(n)
+    diag = np.diag(ising_energies(model, include_offset=False))
+
+    def rhs(t, yv):
+        psi = yv[:2 ** n] + 1j * yv[2 ** n:]
+        d = -1j * ((-(a_fn(t) / 2.0) * sx + (b_fn(t) / 2.0) * diag) @ psi)
+        return np.concatenate([d.real, d.imag])
+
+    y0 = np.concatenate([np.full(2 ** n, 2.0 ** (-n / 2.0)),
+                         np.zeros(2 ** n)])
+    sol = solve_ivp(rhs, (0.0, T), y0, rtol=1e-10, atol=1e-12)
+    psi_o = sol.y[:2 ** n, -1] + 1j * sol.y[2 ** n:, -1]
+    assert np.max(np.abs(np.abs(state) ** 2 - np.abs(psi_o) ** 2)) < 1e-6
+
+
+def test_dense_machine_matches_per_qubit_rotation_sweep():
+    # the machine's earlier integrator, kept here as its reference: a
+    # half diagonal phase, a rotation of each qubit in turn, a half phase
+    n, T, dt = 4, 0.3, 1e-3
+    model = _random_ising(n, 42)
+    a_fn, b_fn = (lambda t: 2.0 - t), (lambda t: 1.0 + 3.0 * t)
+    state, marg = qk.simulate_ising_dense(model, (a_fn, b_fn), T, dt,
+                                          n_vars=2)
+    diag = ising_energies(model, include_offset=False).reshape((2,) * n)
+    psi = np.full((2,) * n, 2.0 ** (-n / 2.0), dtype=complex)
+    for step in range(300):
+        tm = (step + 0.5) * dt
+        half = np.exp(-0.5j * dt * (b_fn(tm) / 2.0) * diag)
+        psi = half * psi
+        c, s = np.cos(dt * a_fn(tm) / 2.0), 1j * np.sin(dt * a_fn(tm) / 2.0)
+        for q in range(n):
+            moved = np.moveaxis(psi, q, 0)
+            v0, v1 = moved[0].copy(), moved[1]
+            moved[0] = c * v0 + s * v1
+            moved[1] = s * v0 + c * v1
+        psi = half * psi
+    ref = psi.reshape(-1)
+    assert np.max(np.abs(state - ref)) < 1e-12
+    prob = np.abs(ref) ** 2
+    weights = block_weights(n, 2)
+    for k in range(2):
+        expected = np.bincount(weights[:, k], weights=prob, minlength=3)
+        assert np.max(np.abs(marg[k] - expected)) < 1e-12
+
+
+def test_relaxed_evolution_matches_two_tensordot_step():
+    # the relaxed engine's earlier step, kept here as its reference: the
+    # kinetic phase applied in the coupling's eigenbasis, axis by axis
+    qp = random_qp(2, 43)
+    r, t0, T, dt = 3, 0.5, 1.0, 1e-3
+    sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
+    traj = qk.relaxed_qhd_evolve(qp, r, sched, T, dt, t0=t0,
+                                 snapshot_times=[0.6, 0.75])
+    mesh = qk.Mesh(2, r, qk.DIRICHLET)
+    fvals = qp_objective(qp)(mesh.node_coords()).reshape(mesh.shape)
+    evals, evecs = np.linalg.eigh(qk.relaxed_adjacency(r, 1).toarray())
+    psi = binomial_state(r, 2).amplitudes.reshape(mesh.shape)
+    efs, snaps = [], {}
+    for j in range(500):
+        tm = t0 + (j + 0.5) * dt
+        half_pot = np.exp(-0.5j * dt * sched.potential_coeff(tm) * fvals)
+        kin_phase = np.exp(1j * dt * sched.kinetic_coeff(tm)
+                           * (r ** 2 / 2.0) * evals)
+        psi = half_pot * psi
+        for ax in range(2):
+            psi = np.moveaxis(
+                np.tensordot(evecs * kin_phase, np.tensordot(
+                    evecs.T, psi, axes=(1, ax)), axes=(1, 0)), 0, ax)
+        psi = half_pot * psi
+        prob = np.abs(psi) ** 2
+        efs.append(np.sum(prob * fvals) / np.sum(prob))
+        snaps[j + 1] = (psi / np.sqrt(np.sum(prob))).reshape(-1)
+    assert np.max(np.abs(traj.observables["Ef"] - efs)) < 1e-12
+    np.testing.assert_allclose(traj.snapshot_times, [0.6, 0.75, 1.0])
+    for t, step in ((0.6, 100), (0.75, 250), (1.0, 500)):
+        got = traj.snapshot_at(t).amplitudes
+        assert np.max(np.abs(got - snaps[step])) < 1e-12, t
+
+
+def test_strang_loop_keeps_the_norm_over_many_steps():
+    # a kinetic unitary whose eigenvectors are orthogonal only to an ulp
+    # grows or shrinks the norm by about 1e-15 every step, always the same
+    # way. The envelopes vary in time: with constant ones every step would
+    # repeat one rounding of the exact unitary, which drifts too.
+    sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
+    traj = qk.relaxed_qhd_evolve(random_qp(2, 44), 3, sched, 5.0, 1e-3)
+    assert np.max(np.abs(traj.observables["norm"] - 1.0)) < 1e-12
+    state, _ = qk.simulate_ising_dense(
+        _random_ising(4, 45), (lambda t: 2.0 + np.sin(t), lambda t: 1.0 + t),
+        5.0, 1e-3)
+    assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_vars", [0, -2, 5])
+def test_dense_machine_rejects_bad_n_vars_before_any_step(n_vars):
+    # n_vars = 5 on 12 qubits used to fail only after the whole evolution,
+    # and n_vars = 0 with a ZeroDivisionError
+    def never(t):
+        raise AssertionError("the evolution started")
+
+    model = qk.IsingModel(n=12, h=np.ones(12), J={}, offset=0.0)
+    with pytest.raises(ValueError, match="variable blocks"):
+        qk.simulate_ising_dense(model, (never, never), 0.5, 1e-3,
+                                n_vars=n_vars)
+
+
 def test_dense_machine_cap():
     model = qk.IsingModel(n=15, h=np.zeros(15), J={}, offset=0.0)
     with pytest.raises(ResourceError):
@@ -462,6 +582,10 @@ def test_model_file_roundtrip():
     ("# qubo n=2 offset=0.0\n0 0 1.5\n# qubo n=2 offset=0.0\n", "second"),
     ("# qubo n=2 offset=0.0\n# layout encoding=bogus vars=1 bits=2\n",
      "encoding"),
+    ("# qubo n=4 offset=0.0\n# layout encoding=hamming vars=3 bits=5\n",
+     "does not match n=4"),
+    ("# layout encoding=radix2 vars=1 bits=3\n# ising n=4 offset=0.0\n"
+     "0 0 1.0\n", "does not match n=4"),
 ])
 def test_parse_model_rejects_malformed_input(text, why):
     with pytest.raises(ValueError, match=why):
