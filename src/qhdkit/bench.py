@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .classical import nagd_run, sgd_run
 from .dynamics import make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
@@ -219,12 +220,30 @@ _SOLVER_KEYS = {"exact_oracle": {"t_f"}, "uniform_grid": {"resolution", "t_f"},
                 "sgd": {"steps", "stepsize", "noise_sigma"}}
 
 
+def _is_integer(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    return ((_is_integer(v) or isinstance(v, (float, np.floating)))
+            and math.isfinite(v))
+
+
+#: key -> (what its value must be, test of the value), for every solver
+_KEY_RULES = {
+    "resolution": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    "steps": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    **{key: ("finite and > 0", lambda v: _is_finite(v) and v > 0)
+       for key in ("T", "dt", "stepsize", "t_f")},
+    "noise_sigma": ("finite and >= 0", lambda v: _is_finite(v) and v >= 0),
+}
+
+
 def _solver_trials(solver, qp, f_star, trials, seed):
     """Run one solver on one instance; returns (p_s, t_f_seconds)."""
     name = solver["name"]
     rng = np.random.default_rng(seed)
     refine = bool(solver.get("refine", False))
-    fobj = qp_objective(qp)
 
     if name == "exact_oracle":
         return 1.0, float(solver.get("t_f", 1.0))
@@ -247,19 +266,21 @@ def _solver_trials(solver, qp, f_star, trials, seed):
         env = anneal_rescale(sched, r, (MACHINE_A0_OVER_H, 1.0))
         t_f = T / env.time_dilation
     elif name in ("nagd", "sgd"):
-        from .classical import nagd_run, sgd_run
+        fobj = qp_objective(qp)
         steps = int(solver.get("steps", 1000))
         s_lr = float(solver.get("stepsize", 1e-3))
-        points = np.empty((trials, qp.dim))
-        for i in range(trials):
-            x0 = rng.uniform(0.0, 1.0, size=qp.dim)
-            if name == "nagd":
-                tr = nagd_run(fobj, x0, s_lr, steps)
-            else:
-                tr = sgd_run(fobj, x0, s_lr, steps,
-                             noise_sigma=float(solver.get("noise_sigma", 1.0)),
-                             seed=int(rng.integers(2 ** 31)))
-            points[i] = tr.points[-1]
+        if name == "nagd":
+            x0 = rng.uniform(0.0, 1.0, size=(trials, qp.dim))
+            tr = nagd_run(fobj, x0, s_lr, steps)
+        else:
+            # each trial's start, then its seed, drawn in turn
+            x0, seeds = zip(*[(rng.uniform(0.0, 1.0, size=qp.dim),
+                               int(rng.integers(2 ** 31)))
+                              for _ in range(trials)])
+            tr = sgd_run(fobj, np.array(x0), s_lr, steps,
+                         noise_sigma=float(solver.get("noise_sigma", 1.0)),
+                         seed=seeds)
+        points = tr.points[:, -1]
         t_f = steps * s_lr
 
     hits = 0
@@ -277,8 +298,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
 
     All randomness flows from the master seed, so repeated runs produce
     byte-identical CSV output; wall-clock timings are reported only in the
-    metadata file. An unknown solver name or key raises ``ValueError`` before
-    any compute; later solver failures are recorded and the run continues.
+    metadata file. An unknown solver name or key, or a value out of its
+    key's range, raises ``ValueError`` before any compute; later solver
+    failures are recorded and the run continues.
     Returns one TtsReport per successful (instance, solver).
     """
     import pathlib
@@ -291,6 +313,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
         if unknown:
             raise ValueError(f"solver {name!r}: unknown keys "
                              f"{sorted(unknown)}")
+        for key in sorted(set(solver) & set(_KEY_RULES)):
+            what, ok = _KEY_RULES[key]
+            if not ok(solver[key]):
+                raise ValueError(f"solver {name!r}: {key!r} must be {what}, "
+                                 f"got {solver[key]!r}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(config.master_seed).generate_state(

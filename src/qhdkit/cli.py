@@ -74,23 +74,22 @@ def cmd_simulate_qaa(args):
 
 def cmd_classical(args):
     f = objectives.get_objective(args.objective)
-    rng = np.random.default_rng(args.seed)
-    traces = []
-    for i in range(args.runs):
-        x0 = rng.uniform(0.0, 1.0, size=f.dim)
-        if args.algo == "nagd":
-            traces.append(classical.nagd_run(f, x0, args.step, args.iters,
-                                             project=args.projection))
-        else:
-            traces.append(classical.sgd_run(
-                f, x0, args.step, args.iters, noise_sigma=args.noise_sigma,
-                seed=args.seed + 1 + i, project=args.projection))
-    frac, loss = classical.ensemble_stats(traces, f.minimizer, args.radius)
+    # a bad radius fails here, before the runs
+    mesh.within_radius(f.minimizer, f.minimizer, args.radius)
+    x0 = np.random.default_rng(args.seed).uniform(size=(args.runs, f.dim))
+    if args.algo == "nagd":
+        trace = classical.nagd_run(f, x0, args.step, args.iters,
+                                   project=args.projection)
+    else:
+        trace = classical.sgd_run(
+            f, x0, args.step, args.iters, noise_sigma=args.noise_sigma,
+            seed=args.seed + 1 + np.arange(args.runs), project=args.projection)
+    frac, loss = classical.ensemble_stats(trace, f.minimizer, args.radius)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    times = args.step * np.arange(args.iters + 1)
     _csv_write(out / "ensemble.csv", "t,success_frac,mean_loss",
-               zip(times.tolist(), frac.tolist(), loss.tolist()))
+               zip(trace.effective_times.tolist(), frac.tolist(),
+                   loss.tolist()))
     print(f"wrote {out / 'ensemble.csv'}")
 
 

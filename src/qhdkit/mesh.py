@@ -250,15 +250,16 @@ def success_probability(psi: WaveFunction, x_star, radius: float) -> float:
     """Probability mass of nodes strictly within Euclidean ``radius`` of
     ``x_star``; ties at exactly the radius are excluded, with a relative
     guard of 1e-12 so ties survive floating-point coordinate noise."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
     return float(np.sum(psi.density()[success_mask(psi.mesh, x_star, radius)]))
 
 
 def within_radius(points, x_star, radius: float) -> np.ndarray:
     """Mask of the points (last axis = coordinates) strictly within
     Euclidean ``radius`` of ``x_star``; ties at exactly the radius are
-    excluded with a relative guard of 1e-12 against coordinate noise."""
+    excluded with a relative guard of 1e-12 against coordinate noise. A
+    radius that is not finite and positive raises ``ValueError``."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     d = np.linalg.norm(points - np.asarray(x_star, dtype=float), axis=-1)
     return d < radius * (1.0 - 1e-12)
 

@@ -177,11 +177,24 @@ def test_run_experiment_exact_oracle_and_determinism(tmp_path):
     ({"name": "exact_oracle", "stepsize": 1e-3}, "stepsize"),
     ({"name": "anneal"}, "unknown solver 'anneal'"),
     ({"resolution": 4}, "unknown solver None"),
+    ({"name": "relaxed_qhd", "resolution": 2.5},
+     "'relaxed_qhd': 'resolution' must be an integer >= 1"),
+    ({"name": "relaxed_qhd", "resolution": 0}, "'relaxed_qhd': 'resolution'"),
+    ({"name": "relaxed_qhd", "dt": -0.01}, "'relaxed_qhd': 'dt' must be finite"),
+    ({"name": "relaxed_qhd", "T": math.inf}, "'relaxed_qhd': 'T'"),
+    ({"name": "uniform_grid", "t_f": 0.0}, "'uniform_grid': 't_f'"),
+    ({"name": "nagd", "steps": 0}, "'nagd': 'steps' must be an integer"),
+    ({"name": "nagd", "steps": True}, "'nagd': 'steps'"),
+    ({"name": "nagd", "stepsize": math.nan}, "'nagd': 'stepsize'"),
+    ({"name": "sgd", "noise_sigma": -1.0},
+     "'sgd': 'noise_sigma' must be finite and >= 0"),
+    ({"name": "sgd", "noise_sigma": "1"}, "'sgd': 'noise_sigma'"),
 ])
 def test_run_experiment_rejects_bad_solver_before_any_instance(
         solver, why, tmp_path, monkeypatch):
-    # a misspelled key used to take its default silently, and an unknown
-    # name became NaN rows and a RuntimeError after every instance had run
+    # a misspelled key used to take its default silently, an unknown name
+    # became NaN rows and a RuntimeError after every instance had run, and a
+    # fractional resolution was truncated
     def never(*args, **kwargs):
         raise AssertionError("an instance was generated")
 
@@ -192,6 +205,48 @@ def test_run_experiment_rejects_bad_solver_before_any_instance(
     with pytest.raises(ValueError, match=why):
         qk.run_experiment(config, tmp_path)
     assert not (tmp_path / "tts_summary.csv").exists()
+
+
+def test_run_experiment_classical_solvers_match_per_trial_loop(tmp_path):
+    solvers = [{"name": "nagd", "steps": 40, "stepsize": 1e-2,
+                "refine": False},
+               {"name": "sgd", "steps": 40, "stepsize": 1e-2,
+                "noise_sigma": 0.5, "refine": False},
+               {"name": "nagd", "steps": 40, "stepsize": 1e-2,
+                "refine": True},
+               {"name": "sgd", "steps": 40, "stepsize": 1e-2,
+                "refine": True}]
+    config = qk.ExperimentConfig(dim=3, sparsity=3, n_instances=2, trials=12,
+                                 master_seed=4, truth_resolution=4,
+                                 solvers=solvers)
+    qk.run_experiment(config, tmp_path)
+
+    seeds = np.random.SeedSequence(4).generate_state(6)
+    lines = ["instance,solver,tf_seconds,ps,tts_seconds"]
+    for i in range(2):
+        qp = qk.generate_qp(3, 3, int(seeds[i]))
+        _, f_star = multistart_refine(qp, 4)
+        f = qp_objective(qp)
+        for k, solver in enumerate(solvers):
+            rng = np.random.default_rng(int(seeds[2 + i]) + 7919 * k)
+            hits = 0
+            for _ in range(12):
+                x0 = rng.uniform(0.0, 1.0, size=3)
+                if solver["name"] == "nagd":
+                    tr = qk.nagd_run(f, x0, 1e-2, 40)
+                else:
+                    tr = qk.sgd_run(f, x0, 1e-2, 40,
+                                    noise_sigma=solver.get("noise_sigma", 1.0),
+                                    seed=int(rng.integers(2 ** 31)))
+                x = tr.points[-1]
+                if solver["refine"]:
+                    x = qk.local_refine(qp, x)
+                hits += qk.success(qk.qp_eval_grad(qp, x)[0], f_star)
+            p_s, t_f = hits / 12, 40 * 1e-2
+            lines.append(f"{i},{solver['name']},{t_f!r},{p_s!r},"
+                         f"{qk.tts(t_f, p_s)!r}")
+    expected = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "tts_summary.csv").read_bytes() == expected
 
 
 def test_run_experiment_uniform_grid_hit_rate(tmp_path):

@@ -91,9 +91,9 @@ def test_projection_keeps_iterates_in_box():
 def test_sgd_levy_ensemble_reaches_minimum():
     f = qk.get_objective("levy")
     rng = np.random.default_rng(3)
-    traces = [qk.sgd_run(f, rng.uniform(0, 1, 2), 1e-3, 2000,
-                         noise_sigma=1.0, seed=100 + i) for i in range(40)]
-    frac, loss = qk.ensemble_stats(traces, f.minimizer, 0.1)
+    trace = qk.sgd_run(f, rng.uniform(0, 1, (40, 2)), 1e-3, 2000,
+                       noise_sigma=1.0, seed=100 + np.arange(40))
+    frac, loss = qk.ensemble_stats(trace, f.minimizer, 0.1)
     assert frac[-1] > 0.0
     assert loss[0] > loss[-1]
 
@@ -101,24 +101,132 @@ def test_sgd_levy_ensemble_reaches_minimum():
 def test_ensemble_stats_examples():
     f = quad_1d()
 
-    def still(x0):
-        pts = np.tile(np.asarray(x0, dtype=float), (5, 1))
-        return qk.IterateTrace(pts, np.arange(5.0), np.asarray(f(pts)))
+    def still(*x0s):
+        pts = np.stack([np.tile(np.asarray(x0, dtype=float), (5, 1))
+                        for x0 in x0s])
+        return qk.IterateTrace(pts, np.arange(5.0),
+                               np.stack([f(run) for run in pts]))
 
     x_star = np.array([0.5])
-    all_in = [still([0.5]), still([0.5])]
+    all_in = still([0.5], [0.5])
     frac, _ = qk.ensemble_stats(all_in, x_star, 0.1)
     assert np.all(frac == 1.0)
 
-    half = [still([0.5]), still([0.9])]
+    half = still([0.5], [0.9])
     frac, loss = qk.ensemble_stats(half, x_star, 0.1)
     assert np.all(frac == 0.5)
     assert np.allclose(loss, 0.5 * (f(np.array([0.5])) + f(np.array([0.9]))))
 
 
 def test_ensemble_stats_errors():
-    with pytest.raises(ValueError):
-        qk.ensemble_stats([], np.zeros(1), 0.1)
+    empty = qk.IterateTrace(np.empty((0, 5, 1)), np.arange(5.0),
+                            np.empty((0, 5)))
+    with pytest.raises(ValueError, match="empty"):
+        qk.ensemble_stats(empty, np.zeros(1), 0.1)
+    # a one-run trace is not an ensemble
+    one = qk.nagd_run(quad_1d(), np.array([0.5]), 0.1, 4)
+    with pytest.raises(ValueError, match="runs"):
+        qk.ensemble_stats(one, np.zeros(1), 0.1)
+
+
+def _nagd_loop(f, x0, s, steps, project):
+    # one run at a time, as the per-run implementation stepped it
+    x = np.asarray(x0, dtype=float).copy()
+    y = x.copy()
+    pts = [x.copy()]
+    for k in range(1, steps + 1):
+        x_new = y - s * f.grad(y)
+        if project:
+            x_new = np.clip(x_new, 0.0, 1.0)
+        y = x_new + (k - 1.0) / (k + 2.0) * (x_new - x)
+        x = x_new
+        pts.append(x.copy())
+    return np.array(pts)
+
+
+def _sgd_loop(f, x0, s, steps, sigma, seed, project):
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x0, dtype=float).copy()
+    pts = [x.copy()]
+    for _ in range(steps):
+        g = f.grad(x) + sigma * rng.standard_normal(x.size)
+        x = x - s * g
+        if project:
+            x = np.clip(x, 0.0, 1.0)
+        pts.append(x.copy())
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("objective", ["levy", "qp"])
+@pytest.mark.parametrize("project", [True, False])
+def test_batch_matches_per_run_loop(objective, project):
+    if objective == "levy":
+        f, s = qk.get_objective("levy"), 1e-3
+    else:
+        f, s = qk.qp_objective(qk.generate_qp(4, 3, seed=8)), 1e-2
+    # more than 8 runs, so that a pairwise sum over runs would show
+    runs, steps = 24, 200
+    rng = np.random.default_rng(21)
+    x0 = rng.uniform(0.0, 1.0, size=(runs, f.dim))
+    seeds = 40 + np.arange(runs)
+    nagd = qk.nagd_run(f, x0, s, steps, project=project)
+    sgd = qk.sgd_run(f, x0, s, steps, noise_sigma=0.5, seed=seeds,
+                     project=project)
+    for trace in (nagd, sgd):
+        assert trace.points.shape == (runs, steps + 1, f.dim)
+        assert trace.values.shape == (runs, steps + 1)
+        assert trace.values.flags.c_contiguous
+        assert np.array_equal(trace.effective_times, s * np.arange(steps + 1))
+    refs = []
+    for i in range(runs):
+        ref = _nagd_loop(f, x0[i], s, steps, project)
+        assert np.array_equal(nagd.points[i], ref)
+        assert np.array_equal(nagd.values[i], f(ref))
+        ref = _sgd_loop(f, x0[i], s, steps, 0.5, seeds[i], project)
+        assert np.array_equal(sgd.points[i], ref)
+        assert np.array_equal(sgd.values[i], f(ref))
+        refs.append(ref)
+    # the statistics of the per-run traces, stacked runs first
+    x_star = np.full(f.dim, 0.5)
+    frac, loss = qk.ensemble_stats(sgd, x_star, 0.3)
+    dist = np.linalg.norm(np.stack(refs) - x_star, axis=-1)
+    assert np.array_equal(frac, (dist < 0.3 * (1.0 - 1e-12)).mean(axis=0))
+    assert np.array_equal(loss, np.stack([f(r) for r in refs]).mean(axis=0))
+    # a (d,) start is the one-run case, with the run axis dropped
+    one = qk.sgd_run(f, x0[3], s, steps, noise_sigma=0.5, seed=seeds[3],
+                     project=project)
+    assert one.points.shape == (steps + 1, f.dim)
+    assert np.array_equal(one.points, sgd.points[3])
+    assert np.array_equal(one.values, sgd.values[3])
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, "10", True, None])
+def test_runs_reject_bad_step_count(steps):
+    # -1 used to fail on unequal trace lengths, 2.5 with a TypeError
+    f = quad_1d()
+    with pytest.raises(ValueError, match="steps"):
+        qk.nagd_run(f, np.zeros(1), 0.1, steps)
+    with pytest.raises(ValueError, match="steps"):
+        qk.sgd_run(f, np.zeros(1), 0.1, steps)
+
+
+def test_zero_steps_keep_the_start():
+    f = quad_1d()
+    trace = qk.nagd_run(f, np.array([[0.2], [0.7]]), 0.1, 0)
+    assert np.array_equal(trace.points, [[[0.2]], [[0.7]]])
+    assert np.array_equal(trace.effective_times, [0.0])
+
+
+def test_batch_rejects_empty_batch_and_wrong_seed_count():
+    f = quad_1d()
+    with pytest.raises(ValueError, match="at least one run"):
+        qk.nagd_run(f, np.empty((0, 1)), 0.1, 5)
+    with pytest.raises(ValueError, match="at least one run"):
+        qk.sgd_run(f, np.empty((0, 1)), 0.1, 5, seed=[])
+    x0 = np.zeros((3, 1))
+    for seed in (0, [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="seed"):
+            qk.sgd_run(f, x0, 0.1, 5, seed=seed)
 
 
 def test_invalid_stepsizes():

@@ -56,6 +56,28 @@ def test_classical_command(tmp_path):
     assert len(a.splitlines()) == 202
 
 
+@pytest.mark.parametrize("flags, why", [
+    (["--runs", "0"], "at least one run"),
+    (["--radius", "-1"], "radius"),
+    (["--iters", "-1"], "steps"),
+])
+def test_classical_rejects_bad_input_before_any_iteration(
+        flags, why, tmp_path, monkeypatch):
+    def never(x):
+        raise AssertionError("an iteration ran")
+
+    levy = qk.get_objective("levy")
+    monkeypatch.setattr(qk.objectives, "get_objective",
+                        lambda name: qk.Objective(
+                            dim=2, eval_fn=levy.eval_fn, grad_fn=never,
+                            minimizer=levy.minimizer))
+    for algo in ("nagd", "sgd"):
+        with pytest.raises(ValueError, match=why):
+            main(["classical", "--algo", algo, "--iters", "5", "--runs", "3",
+                  *flags, "--out", str(tmp_path)])
+    assert not (tmp_path / "ensemble.csv").exists()
+
+
 def test_qp_gen_and_encode_roundtrip(tmp_path):
     main(["qp-gen", "--dim", "3", "--sparsity", "3", "--count", "2",
           "--seed", "7", "--out", str(tmp_path / "instances")])

@@ -212,6 +212,35 @@ def test_success_probability():
         qk.success_probability(pm, x_star, 0.0)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_radius_fails_before_any_step(radius):
+    # a negative radius used to give all-zero ensemble fractions, and NaN a
+    # success probability of 0.0
+    def never(t):
+        raise AssertionError("the evolution started")
+
+    m = qk.Mesh(2, 8, qk.DIRICHLET)
+    with pytest.raises(ValueError, match="radius"):
+        qk.success_probability(qk.uniform_state(m), [0.5, 0.5], radius)
+    f = qk.get_objective("levy")
+    descent = qk.Schedule(kinetic_coeff=never, potential_coeff=never)
+    with pytest.raises(ValueError, match="radius"):
+        qk.qhd_evolve(qk.Mesh(2, 8, qk.PERIODIC), f, descent, 1.0, 0.1,
+                      success_radius=radius)
+    with pytest.raises(ValueError, match="radius"):
+        qk.relaxed_qhd_evolve(qk.generate_qp(2, 2, seed=1), 2, descent, 1.0,
+                              0.1, x_star=[0.5, 0.5], success_radius=radius)
+    problem = qk.radix2_problem(f, 3)
+    anneal = qk.Schedule(kinetic_coeff=never, potential_coeff=never,
+                         anneal_fraction=never)
+    with pytest.raises(ValueError, match="radius"):
+        qk.qaa_evolve(problem.diag, anneal, 1.0, 0.1, points=problem.points,
+                      x_star=f.minimizer, radius=radius)
+    trace = qk.nagd_run(f, np.full((3, 2), 0.5), 1e-3, 2)
+    with pytest.raises(ValueError, match="radius"):
+        qk.ensemble_stats(trace, f.minimizer, radius)
+
+
 def test_success_probability_uniform_1d_count():
     m = qk.Mesh(1, 100, qk.DIRICHLET)
     psi = qk.uniform_state(m)
