@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,13 +213,6 @@ def tcount(d: int, s: int, R: int, q: int) -> int:
 MACHINE_A0_OVER_H = 9.63e9
 
 
-#: keys each solver reads besides "name" and "refine"
-_SOLVER_KEYS = {"exact_oracle": {"t_f"}, "uniform_grid": {"resolution", "t_f"},
-                "relaxed_qhd": {"resolution", "T", "dt", "stepsize"},
-                "nagd": {"steps", "stepsize"},
-                "sgd": {"steps", "stepsize", "noise_sigma"}}
-
-
 def _is_integer(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
@@ -239,53 +232,63 @@ _KEY_RULES = {
 }
 
 
+def _uniform_grid(opts, qp, trials, rng):
+    r = int(opts["resolution"])
+    edge = np.arange(r + 1) / r
+    return (edge[rng.integers(0, r + 1, size=(trials, qp.dim))],
+            float(opts["t_f"]))
+
+
+def _relaxed_qhd(opts, qp, trials, rng):
+    r, T = int(opts["resolution"]), float(opts["T"])
+    sched = make_schedule("nesterov_nonconvex", stepsize=opts["stepsize"])
+    final = relaxed_qhd_evolve(qp, r, sched, T, float(opts["dt"])).final_state
+    points = sample_positions(final, trials, int(rng.integers(2 ** 31)))
+    env = anneal_rescale(sched, r, (MACHINE_A0_OVER_H, 1.0))
+    return points, T / env.time_dilation
+
+
+def _nagd(opts, qp, trials, rng):
+    steps, s_lr = int(opts["steps"]), float(opts["stepsize"])
+    x0 = rng.uniform(0.0, 1.0, size=(trials, qp.dim))
+    tr = nagd_run(qp_objective(qp), x0, s_lr, steps)
+    return tr.points[:, -1], steps * s_lr
+
+
+def _sgd(opts, qp, trials, rng):
+    steps, s_lr = int(opts["steps"]), float(opts["stepsize"])
+    # each trial's start, then its seed, drawn in turn
+    x0, seeds = zip(*[(rng.uniform(0.0, 1.0, size=qp.dim),
+                       int(rng.integers(2 ** 31))) for _ in range(trials)])
+    tr = sgd_run(qp_objective(qp), np.array(x0), s_lr, steps,
+                 noise_sigma=float(opts["noise_sigma"]), seed=seeds)
+    return tr.points[:, -1], steps * s_lr
+
+
+#: solver name -> (draw, defaults): ``draw(opts, qp, trials, rng)`` returns
+#: the trials' final points (None: every trial succeeds) and the per-trial
+#: time t_f; ``defaults`` are the keys it reads besides "name" and "refine"
+_SOLVERS = {
+    "exact_oracle": (lambda opts, qp, trials, rng: (None, float(opts["t_f"])),
+                     {"t_f": 1.0}),
+    "uniform_grid": (_uniform_grid, {"resolution": 8, "t_f": 1e-6}),
+    "relaxed_qhd": (_relaxed_qhd, {"resolution": 4, "T": 10.0, "dt": 1e-2,
+                                   "stepsize": 1e-3}),
+    "nagd": (_nagd, {"steps": 1000, "stepsize": 1e-3}),
+    "sgd": (_sgd, {"steps": 1000, "stepsize": 1e-3, "noise_sigma": 1.0}),
+}
+
+
 def _solver_trials(solver, qp, f_star, trials, seed):
     """Run one solver on one instance; returns (p_s, t_f_seconds)."""
-    name = solver["name"]
-    rng = np.random.default_rng(seed)
-    refine = bool(solver.get("refine", False))
-
-    if name == "exact_oracle":
-        return 1.0, float(solver.get("t_f", 1.0))
-
-    if name == "uniform_grid":
-        r = int(solver.get("resolution", 8))
-        edge = np.arange(r + 1) / r
-        idx = rng.integers(0, r + 1, size=(trials, qp.dim))
-        points = edge[idx]
-        t_f = float(solver.get("t_f", 1e-6))
-    elif name == "relaxed_qhd":
-        r = int(solver.get("resolution", 4))
-        T = float(solver.get("T", 10.0))
-        dt = float(solver.get("dt", 1e-2))
-        sched = make_schedule("nesterov_nonconvex",
-                              stepsize=solver.get("stepsize", 1e-3))
-        traj = relaxed_qhd_evolve(qp, r, sched, T, dt)
-        final = traj.final_state
-        points = sample_positions(final, trials, int(rng.integers(2 ** 31)))
-        env = anneal_rescale(sched, r, (MACHINE_A0_OVER_H, 1.0))
-        t_f = T / env.time_dilation
-    elif name in ("nagd", "sgd"):
-        fobj = qp_objective(qp)
-        steps = int(solver.get("steps", 1000))
-        s_lr = float(solver.get("stepsize", 1e-3))
-        if name == "nagd":
-            x0 = rng.uniform(0.0, 1.0, size=(trials, qp.dim))
-            tr = nagd_run(fobj, x0, s_lr, steps)
-        else:
-            # each trial's start, then its seed, drawn in turn
-            x0, seeds = zip(*[(rng.uniform(0.0, 1.0, size=qp.dim),
-                               int(rng.integers(2 ** 31)))
-                              for _ in range(trials)])
-            tr = sgd_run(fobj, np.array(x0), s_lr, steps,
-                         noise_sigma=float(solver.get("noise_sigma", 1.0)),
-                         seed=seeds)
-        points = tr.points[:, -1]
-        t_f = steps * s_lr
-
+    draw, defaults = _SOLVERS[solver["name"]]
+    opts = {"refine": False, **defaults, **solver}
+    points, t_f = draw(opts, qp, trials, np.random.default_rng(seed))
+    if points is None:
+        return 1.0, t_f
     hits = 0
     for x in points:
-        if refine:
+        if opts["refine"]:
             x = local_refine(qp, x)
         if success(qp_eval_grad(qp, x)[0], f_star):
             hits += 1
@@ -307,9 +310,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
 
     for solver in config.solvers:
         name = solver.get("name")
-        if name not in _SOLVER_KEYS:
+        if name not in _SOLVERS:
             raise ValueError(f"unknown solver {name!r}")
-        unknown = set(solver) - _SOLVER_KEYS[name] - {"name", "refine"}
+        unknown = set(solver) - set(_SOLVERS[name][1]) - {"name", "refine"}
         if unknown:
             raise ValueError(f"solver {name!r}: unknown keys "
                              f"{sorted(unknown)}")
@@ -322,50 +325,36 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(config.master_seed).generate_state(
         2 * config.n_instances + 2)
+    lines = ["instance,solver,tf_seconds,ps,tts_seconds"]
     reports, errors = [], []
     t_wall = time.time()
     for i in range(config.n_instances):
         qp = generate_qp(config.dim, config.sparsity, int(seeds[i]))
         _, f_star = multistart_refine(qp, config.truth_resolution)
         for k, solver in enumerate(config.solvers):
+            name = solver["name"]
             try:
                 p_s, t_f = _solver_trials(
                     solver, qp, f_star, config.trials,
                     int(seeds[config.n_instances + i]) + 7919 * k)
-                reports.append(TtsReport(
-                    solver=solver["name"], t_f=t_f, p_s=p_s,
-                    tts_seconds=tts(t_f, p_s), trials=config.trials))
+                rep = TtsReport(solver=name, t_f=t_f, p_s=p_s,
+                                tts_seconds=tts(t_f, p_s),
+                                trials=config.trials)
             except Exception as exc:   # noqa: BLE001 - recorded, run continues
-                errors.append({"instance": i, "solver": solver["name"],
+                errors.append({"instance": i, "solver": name,
                                "error": str(exc)})
-                reports.append(None)
-
-    lines = ["instance,solver,tf_seconds,ps,tts_seconds"]
-    n_solvers = len(config.solvers)
-    for i in range(config.n_instances):
-        for k in range(n_solvers):
-            rep = reports[i * n_solvers + k]
-            if rep is None:
-                lines.append(f"{i},{config.solvers[k]['name']},nan,nan,nan")
-            else:
-                lines.append(f"{i},{rep.solver},{float(rep.t_f)!r},"
-                             f"{float(rep.p_s)!r},{float(rep.tts_seconds)!r}")
+                lines.append(f"{i},{name},nan,nan,nan")
+                continue
+            reports.append(rep)
+            lines.append(f"{i},{name},{float(t_f)!r},{float(p_s)!r},"
+                         f"{float(rep.tts_seconds)!r}")
     (out / "tts_summary.csv").write_bytes(
         ("\n".join(lines) + "\n").encode())
 
-    meta = {
-        "config": {
-            "dim": config.dim, "sparsity": config.sparsity,
-            "n_instances": config.n_instances, "trials": config.trials,
-            "master_seed": config.master_seed,
-            "truth_resolution": config.truth_resolution,
-            "solvers": config.solvers,
-        },
-        "errors": errors,
-        "wall_clock_seconds": time.time() - t_wall,
-    }
+    meta = {"config": asdict(config), "errors": errors,
+            "wall_clock_seconds": time.time() - t_wall}
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2,
                                                   sort_keys=True))
     if errors:
         raise RuntimeError(f"{len(errors)} solver runs failed; see run_meta")
-    return [r for r in reports if r is not None]
+    return reports
