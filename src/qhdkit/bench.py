@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,7 +17,7 @@ from .classical import nagd_run, sgd_run
 from .dynamics import make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
-from .mesh import DIRICHLET, Mesh, sample_positions
+from .mesh import DIRICHLET, Mesh, _is_integer, sample_positions
 from .objectives import QpInstance, qp_eval_grad, qp_objective
 
 #: two objective values count as the same solution within this gap
@@ -65,13 +65,13 @@ class ExperimentConfig:
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         doc = json.loads(text)
-        cfg = ExperimentConfig()
-        for key, val in doc.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, val)
-        if cfg.trials < 1:
-            raise ValueError("trial count must be >= 1")
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        cfg = ExperimentConfig(**doc)
+        _check("config", "trials", cfg.trials)
         return cfg
 
 
@@ -213,23 +213,31 @@ def tcount(d: int, s: int, R: int, q: int) -> int:
 MACHINE_A0_OVER_H = 9.63e9
 
 
-def _is_integer(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _is_finite(v):
     return ((_is_integer(v) or isinstance(v, (float, np.floating)))
             and math.isfinite(v))
 
 
-#: key -> (what its value must be, test of the value), for every solver
+#: key -> (what its value must be, test of the value), for every solver key
+#: and run-level field; sparsity also depends on dim and is checked apart
 _KEY_RULES = {
-    "resolution": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
-    "steps": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    **{key: ("an integer >= 1", lambda v: _is_integer(v) and v >= 1)
+       for key in ("resolution", "steps", "dim", "n_instances", "trials",
+                   "truth_resolution")},
     **{key: ("finite and > 0", lambda v: _is_finite(v) and v > 0)
        for key in ("T", "dt", "stepsize", "t_f")},
     "noise_sigma": ("finite and >= 0", lambda v: _is_finite(v) and v >= 0),
+    "refine": ("a bool", lambda v: isinstance(v, bool)),
+    "master_seed": ("an integer >= 0", lambda v: _is_integer(v) and v >= 0),
+    "solvers": ("a non-empty list of dicts", lambda v: isinstance(v, list)
+                and v != [] and all(isinstance(s, dict) for s in v)),
 }
+
+
+def _check(where, key, val):
+    what, ok = _KEY_RULES[key]
+    if not ok(val):
+        raise ValueError(f"{where} {key!r} must be {what}, got {val!r}")
 
 
 def _uniform_grid(opts, qp, trials, rng):
@@ -301,13 +309,21 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
 
     All randomness flows from the master seed, so repeated runs produce
     byte-identical CSV output; wall-clock timings are reported only in the
-    metadata file. An unknown solver name or key, or a value out of its
-    key's range, raises ``ValueError`` before any compute; later solver
-    failures are recorded and the run continues.
+    metadata file. A run-level field out of its range, an unknown solver
+    name or key, or a solver value out of its key's range raises
+    ``ValueError`` before any compute; later solver failures are recorded
+    and the run continues.
     Returns one TtsReport per successful (instance, solver).
     """
     import pathlib
 
+    for f in fields(config):
+        if f.name in _KEY_RULES:
+            _check("config", f.name, getattr(config, f.name))
+    s = config.sparsity
+    if not (_is_integer(s) and 1 <= s <= config.dim):
+        raise ValueError(f"config 'sparsity' must be an integer in "
+                         f"[1, dim={config.dim}], got {s!r}")
     for solver in config.solvers:
         name = solver.get("name")
         if name not in _SOLVERS:
@@ -317,10 +333,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
             raise ValueError(f"solver {name!r}: unknown keys "
                              f"{sorted(unknown)}")
         for key in sorted(set(solver) & set(_KEY_RULES)):
-            what, ok = _KEY_RULES[key]
-            if not ok(solver[key]):
-                raise ValueError(f"solver {name!r}: {key!r} must be {what}, "
-                                 f"got {solver[key]!r}")
+            _check(f"solver {name!r}:", key, solver[key])
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(config.master_seed).generate_state(

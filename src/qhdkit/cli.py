@@ -273,7 +273,8 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--physical", action="store_true",
                    help="calibrate envelopes against the machine preset")
-    p.add_argument("--a0-over-h", type=float, default=9.63e9)
+    p.add_argument("--a0-over-h", type=float,
+                   default=bench.MACHINE_A0_OVER_H)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_anneal_sim)
 

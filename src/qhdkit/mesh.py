@@ -23,6 +23,10 @@ PERIODIC = "periodic"
 NORM_TOL = 1e-10
 
 
+def _is_integer(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Regular grid over [0, 1]^dim.
@@ -39,11 +43,12 @@ class Mesh:
     boundary: str
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.cells_per_edge < 1:
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(
-                f"cells_per_edge must be positive, got {self.cells_per_edge}")
+                f"dimension must be an integer >= 1, got {self.dim!r}")
+        if not (_is_integer(self.cells_per_edge) and self.cells_per_edge >= 1):
+            raise ValueError("cells_per_edge must be an integer >= 1, "
+                             f"got {self.cells_per_edge!r}")
         if self.boundary not in (DIRICHLET, PERIODIC):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
 

@@ -189,6 +189,9 @@ def test_run_experiment_exact_oracle_and_determinism(tmp_path):
     ({"name": "sgd", "noise_sigma": -1.0},
      "'sgd': 'noise_sigma' must be finite and >= 0"),
     ({"name": "sgd", "noise_sigma": "1"}, "'sgd': 'noise_sigma'"),
+    ({"name": "uniform_grid", "refine": "no"},
+     "'uniform_grid': 'refine' must be a bool"),
+    ({"name": "nagd", "refine": 1}, "'nagd': 'refine'"),
 ])
 def test_run_experiment_rejects_bad_solver_before_any_instance(
         solver, why, tmp_path, monkeypatch):
@@ -205,6 +208,75 @@ def test_run_experiment_rejects_bad_solver_before_any_instance(
     with pytest.raises(ValueError, match=why):
         qk.run_experiment(config, tmp_path)
     assert not (tmp_path / "tts_summary.csv").exists()
+
+
+@pytest.mark.parametrize("fields, why", [
+    ({"trials": 2.5}, "'trials' must be an integer >= 1"),
+    ({"trials": 0}, "'trials'"),
+    ({"trials": True}, "'trials'"),
+    ({"n_instances": 0}, "'n_instances' must be an integer >= 1"),
+    ({"n_instances": -1}, "'n_instances'"),
+    ({"truth_resolution": 2.5}, "'truth_resolution'"),
+    ({"dim": 0}, "'dim' must be an integer >= 1"),
+    ({"dim": True, "sparsity": 1}, "'dim'"),
+    ({"sparsity": 3}, r"'sparsity' must be an integer in \[1, dim=2\]"),
+    ({"sparsity": 0}, "'sparsity'"),
+    ({"sparsity": 2.0}, "'sparsity'"),
+    ({"master_seed": -1}, "'master_seed' must be an integer >= 0"),
+    ({"master_seed": 1.5}, "'master_seed'"),
+    ({"solvers": []}, "'solvers' must be a non-empty list"),
+    ({"solvers": {"name": "exact_oracle"}}, "'solvers'"),
+    ({"solvers": ["exact_oracle"]}, "'solvers'"),
+])
+def test_run_experiment_rejects_bad_config_before_any_instance(
+        fields, why, tmp_path, monkeypatch):
+    # a bad trial count used to fail per instance after the ground truth had
+    # run, zero instances wrote a header-only CSV, and a fractional truth
+    # resolution put grid nodes outside the box
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(qk.bench, "generate_qp", never)
+    config = qk.ExperimentConfig(
+        **{"dim": 2, "sparsity": 2, "n_instances": 2, "trials": 10,
+           "solvers": [{"name": "exact_oracle"}], **fields})
+    with pytest.raises(ValueError, match=why):
+        qk.run_experiment(config, tmp_path)
+    assert not (tmp_path / "tts_summary.csv").exists()
+
+
+# every solver key with its default, as the README's solver table gives it
+@pytest.mark.parametrize("name, key, default", [
+    ("exact_oracle", "t_f", 1.0),
+    ("uniform_grid", "resolution", 8),
+    ("uniform_grid", "t_f", 1e-6),
+    ("uniform_grid", "refine", False),
+    ("relaxed_qhd", "resolution", 4),
+    ("relaxed_qhd", "T", 10.0),
+    ("relaxed_qhd", "dt", 1e-2),
+    ("relaxed_qhd", "stepsize", 1e-3),
+    ("nagd", "steps", 1000),
+    ("nagd", "stepsize", 1e-3),
+    ("sgd", "steps", 1000),
+    ("sgd", "stepsize", 1e-3),
+    ("sgd", "noise_sigma", 1.0),
+])
+def test_run_experiment_solver_defaults(name, key, default, tmp_path):
+    # short runs where the key under test allows one; the relaxed grid's
+    # splitting is so accurate that p_s moves with dt only on a long run at
+    # r = 8, and with noise_sigma only once the steps move the points
+    short = {"relaxed_qhd": {"resolution": 8}, "nagd": {"steps": 20},
+             "sgd": {"steps": 100, "stepsize": 1e-2}}.get(name, {})
+    short.pop(key, None)
+    rows = []
+    for out, solver in (("omitted", {"name": name, **short}),
+                        ("written", {"name": name, **short, key: default})):
+        config = qk.ExperimentConfig(dim=2, sparsity=2, n_instances=1,
+                                     trials=1000, master_seed=3,
+                                     truth_resolution=4, solvers=[solver])
+        qk.run_experiment(config, tmp_path / out)
+        rows.append((tmp_path / out / "tts_summary.csv").read_text())
+    assert rows[0] == rows[1]
 
 
 def test_run_experiment_classical_solvers_match_per_trial_loop(tmp_path):
@@ -290,5 +362,11 @@ def test_experiment_config_json():
     assert cfg.dim == 3 and cfg.trials == 10
     with pytest.raises(ValueError):
         qk.ExperimentConfig.from_json('{"bogus": 1}')
+    # a method name is not a field; it used to shadow the method
+    with pytest.raises(ValueError, match="from_json"):
+        qk.ExperimentConfig.from_json('{"from_json": 1}')
+    for doc in ('5', '"dim"', 'null'):
+        with pytest.raises(ValueError, match="JSON object"):
+            qk.ExperimentConfig.from_json(doc)
     with pytest.raises(ValueError):
         qk.ExperimentConfig.from_json('{"trials": 0}')

@@ -17,6 +17,19 @@ def test_mesh_node_counts():
         qk.Mesh(1, 2, "open")
 
 
+@pytest.mark.parametrize("dim, cells, what", [
+    (2, 2.5, "cells_per_edge"), (2.0, 2, "dimension"),
+    (True, 2, "dimension"), (2, True, "cells_per_edge"),
+    (2, "4", "cells_per_edge")])
+def test_mesh_rejects_non_integer_sizes(dim, cells, what):
+    # a fractional cells_per_edge used to give a fractional size and nodes
+    # outside the box
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        qk.Mesh(dim, cells, qk.DIRICHLET)
+    m = qk.Mesh(np.int64(2), np.int32(3), qk.DIRICHLET)
+    assert m.size == 16 and m.node_coords().max() == 1.0
+
+
 def test_node_coords_in_unit_box_and_ordering():
     m = qk.Mesh(2, 2, qk.DIRICHLET)
     coords = m.node_coords()
