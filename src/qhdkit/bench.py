@@ -132,40 +132,65 @@ def grid_bruteforce_min(qp: QpInstance, r: int):
 def local_refine(qp: QpInstance, x0, tol: float = 1e-8,
                  max_iter: int = 500) -> np.ndarray:
     """Projected gradient descent with backtracking; never increases f and
-    stops once the projected-gradient norm falls below ``tol``."""
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    stops once the projected-gradient norm falls below ``tol``.
+
+    ``x0`` is one start of shape (d,) or a batch of shape (n, d); the result
+    has the same shape. Each row keeps its own step, iteration count and
+    stopping state, and follows exactly the arithmetic of refining it alone:
+    every pass evaluates one candidate for each row still running.
+    ``max_iter`` must be an integer >= 0 and ``tol`` finite and >= 0, else
+    ``ValueError`` before any evaluation.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2):
+        raise ValueError(f"starts must be (d,) or (n, d), got shape "
+                         f"{x0.shape}")
+    if not (_is_integer(max_iter) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got "
+                         f"{max_iter!r}")
+    if not (_is_finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    x = np.clip(np.atleast_2d(x0), 0.0, 1.0)
     fx, g = qp_eval_grad(qp, x)
-    step = 1.0
-    for _ in range(max_iter):
-        pg = x - np.clip(x - g, 0.0, 1.0)
-        if np.linalg.norm(pg) <= tol:
-            break
-        while step > 1e-14:
-            cand = np.clip(x - step * g, 0.0, 1.0)
-            f_cand, g_cand = qp_eval_grad(qp, cand)
-            if f_cand <= fx - 1e-4 * float(g @ (x - cand)):
-                x, fx, g = cand, f_cand, g_cand
-                step = min(step * 2.0, 1.0)
-                break
-            step *= 0.5
-        else:
-            break
-    return x
+    step = np.ones(len(x))
+    iters = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    while True:
+        # a row in mid-backtrack still holds the x and g its iteration
+        # started from, so repeating the start-of-iteration test on it
+        # cannot stop it
+        xl, gl = x[live], g[live]
+        pg = xl - np.clip(xl - gl, 0.0, 1.0)
+        stop = ((iters[live] >= max_iter)
+                | (np.sqrt(np.vecdot(pg, pg)) <= tol)
+                | (step[live] <= 1e-14))
+        live = live[~stop]
+        if not live.size:
+            return x if x0.ndim == 2 else x[0]
+        xl, gl, sl = xl[~stop], gl[~stop], step[live]
+        cand = np.clip(xl - sl[:, None] * gl, 0.0, 1.0)
+        f_cand, g_cand = qp_eval_grad(qp, cand)
+        ok = f_cand <= fx[live] - 1e-4 * np.vecdot(gl, xl - cand)
+        moved = live[ok]
+        x[moved], fx[moved], g[moved] = cand[ok], f_cand[ok], g_cand[ok]
+        iters[moved] += 1
+        step[live] = np.where(ok, np.minimum(sl * 2.0, 1.0), sl * 0.5)
 
 
 def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     """Ground-truth helper: exhaustive grid minimum polished by refinement
-    from the best grid points."""
+    from the ``n_starts`` best grid points; ties go to the better-ranked
+    start."""
+    if not (_is_integer(n_starts) and n_starts >= 1):
+        raise ValueError(f"n_starts must be an integer >= 1, got "
+                         f"{n_starts!r}")
     pts = Mesh(qp.dim, r, DIRICHLET).node_coords()
     vals = qp_objective(qp)(pts)
     order = np.argsort(vals, kind="stable")[:n_starts]
-    best_x, best_f = None, np.inf
-    for idx in order:
-        x = local_refine(qp, pts[idx])
-        f = qp_eval_grad(qp, x)[0]
-        if f < best_f:
-            best_x, best_f = x, f
-    return best_x, float(best_f)
+    x = local_refine(qp, pts[order])
+    f = qp_eval_grad(qp, x)[0]
+    best = int(np.argmin(f))
+    return x[best], float(f[best])
 
 
 def success(f_found: float, f_star: float, gap: float = SUCCESS_GAP) -> bool:
@@ -294,12 +319,10 @@ def _solver_trials(solver, qp, f_star, trials, seed):
     points, t_f = draw(opts, qp, trials, np.random.default_rng(seed))
     if points is None:
         return 1.0, t_f
-    hits = 0
-    for x in points:
-        if opts["refine"]:
-            x = local_refine(qp, x)
-        if success(qp_eval_grad(qp, x)[0], f_star):
-            hits += 1
+    if opts["refine"]:
+        points = local_refine(qp, points)
+    hits = sum(success(f, f_star)
+               for f in qp_eval_grad(qp, points)[0].tolist())
     return hits / len(points), t_f
 
 

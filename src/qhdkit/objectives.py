@@ -406,15 +406,30 @@ class QpInstance:
 
 
 def qp_eval_grad(qp: QpInstance, x):
-    """Value and gradient of the QP objective in one sparse pass."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != qp.dim:
-        raise ValueError(f"point has dimension {x.size}, expected {qp.dim}")
-    if not np.all(np.isfinite(x)):
+    """Value and gradient of the QP objective in one sparse pass.
+
+    A point of shape (d,) gives ``(float, (d,) gradient)``; a batch of shape
+    (n, d) gives ``((n,) values, (n, d) gradients)``, row i bit-identical to
+    the call on row i alone. Every row must have width d and finite
+    coordinates, else ``ValueError``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise ValueError(f"points must be (d,) or (n, d), got shape "
+                         f"{x.shape}")
+    X = np.ascontiguousarray(np.atleast_2d(x))
+    if X.shape[1] != qp.dim:
+        raise ValueError(f"point has dimension {X.shape[1]}, "
+                         f"expected {qp.dim}")
+    if not np.all(np.isfinite(X)):
         raise ValueError("point has non-finite coordinates")
-    qx = qp.Q @ x
-    value = 0.5 * float(x @ qx) + float(qp.b @ x)
-    return value, qx + qp.b
+    # contiguous rows make each vecdot sum in the order of a 1-D x @ y
+    QX = np.ascontiguousarray((qp.Q @ X.T).T)
+    values = 0.5 * np.vecdot(X, QX) + np.vecdot(X, qp.b)
+    grads = QX + qp.b
+    if x.ndim == 2:
+        return values, grads
+    return float(values[0]), grads[0]
 
 
 def qp_objective(qp: QpInstance) -> Objective:

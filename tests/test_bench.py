@@ -104,6 +104,108 @@ def test_local_refine_never_increases():
         assert x1.min() >= 0.0 and x1.max() <= 1.0
 
 
+def _refine_one(qp, x0, tol=1e-8, max_iter=500):
+    """The one-point refinement loop the batch must reproduce; also says
+    why the point stopped: "tol", "max_iter" or "step" (no step left)."""
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    fx, g = qk.qp_eval_grad(qp, x)
+    step = 1.0
+    for _ in range(max_iter):
+        pg = x - np.clip(x - g, 0.0, 1.0)
+        if np.linalg.norm(pg) <= tol:
+            return x, "tol"
+        while step > 1e-14:
+            cand = np.clip(x - step * g, 0.0, 1.0)
+            f_cand, g_cand = qk.qp_eval_grad(qp, cand)
+            if f_cand <= fx - 1e-4 * float(g @ (x - cand)):
+                x, fx, g = cand, f_cand, g_cand
+                step = min(step * 2.0, 1.0)
+                break
+            step *= 0.5
+        else:
+            return x, "step"
+    return x, "max_iter"
+
+
+def test_local_refine_batch_matches_per_point_loop():
+    rng = np.random.default_rng(12)
+    seen = set()
+    # 1033 is ill-conditioned: a third of its grid starts run to max_iter;
+    # scaled up, steps need backtracking, and at 1e8 rounding noise in f
+    # swamps the decrease so that steps run out
+    hard = qk.generate_qp(5, 5, seed=1033)
+
+    def scaled(c):
+        return qk.QpInstance(5, hard.Q * c, hard.b * c)
+
+    cases = [(hard, 300, 500), (qk.generate_qp(5, 5, seed=1000), 300, 500),
+             (qk.generate_qp(5, 5, seed=1001), 300, 500),
+             (scaled(100.0), 30, 20), (scaled(1e8), 30, 500)]
+    for qp, n, max_iter in cases:
+        starts = rng.integers(0, 5, size=(n, 5)) / 4
+        loop = [_refine_one(qp, x, max_iter=max_iter) for x in starts]
+        seen |= {why for _, why in loop}
+        assert np.array_equal(qk.local_refine(qp, starts, max_iter=max_iter),
+                              np.array([x for x, _ in loop]))
+        assert np.array_equal(
+            qk.local_refine(qp, starts[0], max_iter=max_iter), loop[0][0])
+    assert seen == {"tol", "max_iter", "step"}
+
+
+@given(d=st.integers(1, 4), seed=st.integers(0, 2 ** 20),
+       scale=st.sampled_from([1.0, 1e8]), n=st.integers(1, 6),
+       tol=st.sampled_from([0.0, 1e-8, 1e-3]), max_iter=st.integers(0, 40),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_local_refine_batch_matches_loop_property(d, seed, scale, n, tol,
+                                                  max_iter, data):
+    base = qk.generate_qp(d, d, seed=seed)
+    qp = qk.QpInstance(d, base.Q * scale, base.b * scale)
+    # starts outside the box exercise the initial clip
+    starts = np.array(data.draw(st.lists(
+        st.floats(-0.5, 1.5), min_size=n * d, max_size=n * d))).reshape(n, d)
+    expected = [_refine_one(qp, x, tol, max_iter)[0] for x in starts]
+    assert np.array_equal(qk.local_refine(qp, starts, tol, max_iter),
+                          np.array(expected))
+
+
+@pytest.mark.parametrize("call", [
+    lambda qp: qk.local_refine(qp, [0.5, 0.5], max_iter=2.5),
+    lambda qp: qk.local_refine(qp, [0.5, 0.5], max_iter=-3),
+    lambda qp: qk.local_refine(qp, [0.5, 0.5], max_iter=True),
+    lambda qp: qk.local_refine(qp, [0.5, 0.5], tol=float("nan")),
+    lambda qp: qk.local_refine(qp, [0.5, 0.5], tol=float("inf")),
+    lambda qp: qk.local_refine(qp, [0.5, 0.5], tol=-1e-8),
+    lambda qp: qk.local_refine(qp, np.full((1, 1, 2), 0.5)),
+    lambda qp: multistart_refine(qp, 4, n_starts=0),
+    lambda qp: multistart_refine(qp, 4, n_starts=2.5),
+], ids=["max_iter-2.5", "max_iter-negative", "max_iter-bool", "tol-nan",
+        "tol-inf", "tol-negative", "x0-3d", "n_starts-0", "n_starts-2.5"])
+def test_refine_arguments_fail_before_any_evaluation(call, monkeypatch):
+    def no_eval(*args):
+        raise AssertionError("evaluated before the arguments were checked")
+
+    monkeypatch.setattr(qk.bench, "qp_eval_grad", no_eval)
+    monkeypatch.setattr(qk.bench, "qp_objective", no_eval)
+    qp = qk.QpInstance(2, sp.identity(2, format="csr"), np.zeros(2))
+    with pytest.raises(ValueError, match="max_iter|tol|starts|n_starts"):
+        call(qp)
+
+
+@pytest.mark.parametrize("qseed, name, tseed, p_s", [
+    (1001, "relaxed_qhd", 8, 0.828), (1001, "uniform_grid", 78, 0.789),
+    (1033, "relaxed_qhd", 40, 0.955), (1033, "uniform_grid", 110, 0.776)])
+def test_solver_trials_pinned_p_s(qseed, name, tseed, p_s):
+    # criterion-12 configuration; the values come from refining one trial
+    # at a time, so a change in how the sums are ordered shows up here
+    from qhdkit.bench import _solver_trials
+    qp = qk.generate_qp(5, 5, seed=qseed)
+    _, f_star = multistart_refine(qp, 8)
+    got, _ = _solver_trials({"name": name, "resolution": 4, "refine": True},
+                            qp, f_star, 1000, seed=tseed)
+    assert got == p_s
+
+
 def test_tts_examples():
     assert qk.tts(1.0, 0.5) == 7.0
     assert qk.tts(1.0, 0.99) == 1.0

@@ -198,6 +198,30 @@ def test_qp_eval_errors():
         qk.qp_eval_grad(qp, np.array([np.nan, 0.0]))
 
 
+def test_qp_eval_grad_batch_rows_match_single_points():
+    # the fourth instance `qhdkit bench` makes from master seed 0; a batch
+    # that sums its rows in another order is ulps off on many of them
+    qp = qk.generate_qp(5, 5, int(np.random.SeedSequence(0).generate_state(
+        4)[3]))
+    X = np.random.default_rng(3).uniform(0.0, 1.0, (1000, 5))
+    # C-ordered, Fortran-ordered (a transposed array) and strided rows
+    for batch in (X, np.ascontiguousarray(X.T).T,
+                  np.repeat(X, 2, axis=0)[::2]):
+        values, grads = qk.qp_eval_grad(qp, batch)
+        assert values.shape == (1000,) and grads.shape == (1000, 5)
+        for x, v, g in zip(X, values, grads):
+            qx = qp.Q @ x
+            assert v == 0.5 * float(x @ qx) + float(qp.b @ x)
+            assert np.array_equal(g, qx + qp.b)
+            v1, g1 = qk.qp_eval_grad(qp, x)
+            assert v1 == v and np.array_equal(g1, g)
+    bad = X[:4].copy()
+    bad[2, 1] = np.nan
+    for points in (bad, X[:4, :4], X[:4].reshape(2, 2, 5)):
+        with pytest.raises(ValueError):
+            qk.qp_eval_grad(qp, points)
+
+
 def test_qp_requires_symmetry():
     Q = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
