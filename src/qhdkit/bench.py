@@ -75,46 +75,38 @@ class ExperimentConfig:
         return cfg
 
 
-def generate_qp(d: int, s: int, seed: int, *, count_diagonal: bool = True,
-                max_attempts: int = 50) -> QpInstance:
+def generate_qp(d: int, s: int, seed: int) -> QpInstance:
     """Random sparse symmetric QP: Hessian and linear entries uniform on
     [-1, 1], at most ``s`` nonzeros per row/column, deterministic per seed.
 
-    With ``count_diagonal`` (default) the always-present diagonal entry
-    counts toward the per-row budget, so rows carry at most s - 1
-    off-diagonal partners; otherwise the budget covers off-diagonal
-    structure only.
+    The always-present diagonal entry counts toward the per-row budget, so
+    rows carry at most s - 1 off-diagonal partners.
     """
     if not (1 <= s <= d):
         raise ValueError("sparsity must satisfy 1 <= s <= d")
     rng = np.random.default_rng(seed)
-    cap = s - 1 if count_diagonal else s
-    for _ in range(max_attempts):
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        rng.shuffle(pairs)
-        degree = np.zeros(d, dtype=int)
-        chosen = []
-        for i, j in pairs:
-            if degree[i] < cap and degree[j] < cap:
-                chosen.append((i, j))
-                degree[i] += 1
-                degree[j] += 1
-        rows, cols, vals = [], [], []
-        for i in range(d):
-            rows.append(i)
-            cols.append(i)
-            vals.append(rng.uniform(-1.0, 1.0))
-        for i, j in sorted(chosen):
-            v = rng.uniform(-1.0, 1.0)
-            rows.extend([i, j])
-            cols.extend([j, i])
-            vals.extend([v, v])
-        Q = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
-        counts = np.diff(Q.indptr)
-        if np.all(counts <= (s if count_diagonal else s + 1)):
-            b = rng.uniform(-1.0, 1.0, size=d)
-            return QpInstance(d, Q, b)
-    raise ValueError("could not realize the sparsity pattern")
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rng.shuffle(pairs)
+    degree = np.zeros(d, dtype=int)
+    chosen = []
+    for i, j in pairs:
+        if degree[i] < s - 1 and degree[j] < s - 1:
+            chosen.append((i, j))
+            degree[i] += 1
+            degree[j] += 1
+    rows, cols, vals = [], [], []
+    for i in range(d):
+        rows.append(i)
+        cols.append(i)
+        vals.append(rng.uniform(-1.0, 1.0))
+    for i, j in sorted(chosen):
+        v = rng.uniform(-1.0, 1.0)
+        rows.extend([i, j])
+        cols.extend([j, i])
+        vals.extend([v, v])
+    Q = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
+    b = rng.uniform(-1.0, 1.0, size=d)
+    return QpInstance(d, Q, b)
 
 
 def grid_bruteforce_min(qp: QpInstance, r: int):
@@ -193,11 +185,11 @@ def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     return x[best], float(f[best])
 
 
-def success(f_found: float, f_star: float, gap: float = SUCCESS_GAP) -> bool:
-    """A solution counts as global when |f_found - f_star| <= gap, boundary
-    inclusive; a small absolute guard keeps decimal boundary cases (whose
-    difference is not exactly representable) on the inclusive side."""
-    return abs(f_found - f_star) <= gap + 1e-12 * (1.0 + abs(f_star))
+def success(f_found: float, f_star: float) -> bool:
+    """A solution counts as global when |f_found - f_star| <= SUCCESS_GAP,
+    boundary inclusive; a small absolute guard keeps decimal boundary cases
+    (whose difference is not exactly representable) on the inclusive side."""
+    return abs(f_found - f_star) <= SUCCESS_GAP + 1e-12 * (1.0 + abs(f_star))
 
 
 def tts(t_f: float, p_s: float) -> float:

@@ -94,6 +94,9 @@ def cmd_classical(args):
 
 
 def cmd_spectrum(args):
+    if not 1 <= args.levels <= spectral.MAX_LEVELS:
+        raise ValueError(f"--levels must be between 1 and "
+                         f"{spectral.MAX_LEVELS}, got {args.levels}")
     f = objectives.get_objective(args.objective)
     times = sorted(float(t) for t in args.times.split(","))
     sched = _SCHEDULES[args.schedule](args.stepsize, max(times))

@@ -426,6 +426,14 @@ def radix2_problem(f, bits_per_var: int) -> Radix2Problem:
                          points=points)
 
 
+#: drift of the leapfrog's conserved quadratic form per unit time beyond
+#: which ``qaa_evolve`` raises. A stable run keeps the drift at the benign
+#: O(dt^2 <H^2>) level (about 1e-5 at dt = 1e-3 on a 12-bit problem) while a
+#: too-large dt overshoots any threshold within a few steps, so this value
+#: separates the regimes cleanly.
+QAA_STABILITY_TOL = 1e-4
+
+
 def _flip_apply(psi_nd):
     """Sum over single-bit flips of a state shaped (2,)*n."""
     out = np.zeros_like(psi_nd)
@@ -436,19 +444,15 @@ def _flip_apply(psi_nd):
 
 def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
                points: np.ndarray = None, x_star=None, radius: float = 0.1,
-               observable_stride: int = 1,
-               stability_tol: float = 1e-4) -> Trajectory:
+               observable_stride: int = 1) -> Trajectory:
     """Leapfrog-integrated interpolation from the transverse-field mixer to a
     diagonal problem Hamiltonian: H(t) = (1 - g) H0 + g H1 with
     H0 = -(sum of single-bit flips) applied matrix-free and H1 = diag.
 
     Starts from the uniform superposition (the mixer ground state). The
     integrator is the time-reversible staggered scheme; its conserved
-    quadratic form is monitored and a drift beyond ``stability_tol`` per unit
-    time raises a stability error advising a smaller dt. A stable run keeps
-    the drift at the benign O(dt^2 <H^2>) level (about 1e-5 at dt = 1e-3 on
-    a 12-bit problem) while a too-large dt overshoots any threshold within a
-    few steps, so the default separates the regimes cleanly.
+    quadratic form is monitored and a drift beyond ``QAA_STABILITY_TOL`` per
+    unit time raises a stability error advising a smaller dt.
     """
     diag = np.asarray(diag, dtype=float)
     n = int(round(np.log2(diag.size)))
@@ -483,7 +487,7 @@ def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
         q = float(np.sum(R * R) + np.sum(I_half * I_next))
         if q0 is None:
             q0 = q
-        if not np.isfinite(q) or abs(q - q0) > stability_tol * max(
+        if not np.isfinite(q) or abs(q - q0) > QAA_STABILITY_TOL * max(
                 (k + 1) * dt, 1.0):
             raise StabilityError(
                 f"staggered-norm drift {abs(q - q0):.3e} at t={(k + 1) * dt}; "

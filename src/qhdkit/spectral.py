@@ -9,7 +9,15 @@ coefficient in 2D, kinetic-limit ratio 5/2) emerge at moderate resolution;
 eigenvectors are reported on the full mesh with zeros on the boundary. The
 periodic realization applies the pseudo-spectral operator via FFTs and is the
 natural instantaneous Hamiltonian for states produced by the split-step
-engine on the same mesh.
+engine on the same mesh. Both builders need e_phi and e_chi finite, >= 0
+and not both 0.
+
+``lowest_eigenpairs`` has one solve path. Sparse matrices (box Hamiltonians
+and bare matrices) with at most ``DENSE_LIMIT`` unknowns, or with k >= n - 1,
+take a dense decomposition, which is also the test oracle. Above that, box
+Hamiltonians use shift-invert Lanczos below the spectrum and other matrices
+smallest-algebraic Lanczos. Periodic operators are always matrix-free
+smallest-algebraic Lanczos.
 """
 
 from __future__ import annotations
@@ -23,10 +31,13 @@ import scipy.sparse.linalg as spla
 from .dynamics import Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   discretize_objective, kron_sum)
+                   _is_integer, build_fdm_operators, discretize_objective)
 
 #: dense eigendecomposition below this many unknowns (also the test oracle)
 DENSE_LIMIT = 2000
+
+#: most eigenpairs one ``lowest_eigenpairs`` call returns
+MAX_LEVELS = 32
 
 RESIDUAL_RTOL = 1e-8
 ORTHO_TOL = 1e-10
@@ -58,18 +69,6 @@ class BoxHamiltonian:
     e_phi: float
     e_chi: float
     f_interior_min: float
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def embed(self, interior_vec: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.size, dtype=interior_vec.dtype)
-        full[self.interior_mask] = interior_vec
-        return full
-
-    def restrict(self, full_vec: np.ndarray) -> np.ndarray:
-        return np.asarray(full_vec).reshape(-1)[self.interior_mask]
 
 
 @dataclass(frozen=True)
@@ -104,43 +103,30 @@ class FourierHamiltonian:
                 + self.e_chi * float(np.abs(self.f_values).max()))
 
 
-def _interior_mask(mesh: Mesh) -> np.ndarray:
-    npe = mesh.nodes_per_edge
-    edge = np.zeros(npe, dtype=bool)
-    edge[1:-1] = True
-    mask = np.ones(mesh.shape, dtype=bool)
-    for ax in range(mesh.dim):
-        shape = [1] * mesh.dim
-        shape[ax] = npe
-        mask &= edge.reshape(shape)
-    return mask.reshape(-1)
-
-
-def _interior_laplacian(mesh: Mesh) -> sp.csr_matrix:
-    """-d^2 discretization on interior nodes, walls at 0 and 1."""
-    r = mesh.cells_per_edge
-    m = r - 1
-    if m < 1:
-        raise ValueError("need at least 2 cells per edge for interior nodes")
-    ones = np.ones(m - 1)
-    a1 = sp.diags([ones, -2.0 * np.ones(m), ones], offsets=[1, 0, -1],
-                  format="csr")
-    return (r ** 2) * kron_sum(a1, mesh.dim)
+def _check_coefficients(e_phi, e_chi):
+    if not (np.isfinite(e_phi) and np.isfinite(e_chi) and e_phi >= 0
+            and e_chi >= 0 and (e_phi > 0 or e_chi > 0)):
+        raise ValueError("coefficients must be finite, >= 0 and not both 0, "
+                         f"got e_phi={e_phi!r}, e_chi={e_chi!r}")
 
 
 def build_hamiltonian(mesh: Mesh, f, e_phi: float, e_chi: float) -> BoxHamiltonian:
-    """e_phi * (-1/2 Laplacian) + e_chi * diag(f) with vanishing boundary.
+    """e_phi * (-1/2 Laplacian) + e_chi * diag(f) with vanishing boundary:
+    the interior block of the full-mesh finite-difference Laplacian.
 
     ``f`` may be an objective or an already discretized DiagonalOperator on
     the same mesh.
     """
     mesh.require(DIRICHLET)
-    if e_phi < 0 or e_chi < 0 or (e_phi == 0 and e_chi == 0):
-        raise ValueError("coefficients must be non-negative and not both zero")
+    _check_coefficients(e_phi, e_chi)
     fop = f if isinstance(f, DiagonalOperator) else discretize_objective(mesh, f)
-    mask = _interior_mask(mesh)
+    coords = mesh.node_coords()
+    mask = np.all((coords > 0.0) & (coords < 1.0), axis=1)
+    if not mask.any():
+        raise ValueError("need at least 2 cells per edge for interior nodes")
+    lap, _ = build_fdm_operators(mesh)
     f_int = fop.values[mask]
-    H = (-0.5 * e_phi) * _interior_laplacian(mesh) + e_chi * sp.diags(f_int)
+    H = (-0.5 * e_phi) * lap[mask][:, mask] + e_chi * sp.diags(f_int)
     return BoxHamiltonian(mesh=mesh, matrix=H.tocsr(), interior_mask=mask,
                           e_phi=float(e_phi), e_chi=float(e_chi),
                           f_interior_min=float(f_int.min()))
@@ -150,6 +136,7 @@ def build_fourier_hamiltonian(mesh: Mesh, f, e_phi: float,
                               e_chi: float) -> FourierHamiltonian:
     """Periodic instantaneous Hamiltonian matching the split-step engine."""
     mesh.require(PERIODIC)
+    _check_coefficients(e_phi, e_chi)
     fop = f if isinstance(f, DiagonalOperator) else discretize_objective(mesh, f)
     return FourierHamiltonian(mesh=mesh, e_phi=float(e_phi),
                               e_chi=float(e_chi), f_values=fop.values,
@@ -173,73 +160,50 @@ def _validate_eigensystem(apply_h, vals, vecs, h_norm):
     return residuals
 
 
-def _start_vector(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / np.sqrt(n))
-
-
-def lowest_eigenpairs(H, k: int, maxiter: int = None) -> EigenSystem:
-    """k smallest eigenpairs, deterministic given the fixed all-ones start
-    vector. Small problems use a dense decomposition (the test oracle);
-    larger sparse operators use shift-invert Lanczos, and matrix-free
-    periodic operators use plain Lanczos with full reorthogonalization."""
-    if k < 1 or k > 32:
-        raise ValueError("k must be between 1 and 32")
-
-    if isinstance(H, BoxHamiltonian):
-        mat, mesh = H.matrix, H.mesh
-        n = mat.shape[0]
-        h_norm = spla.norm(mat, np.inf)
-        if n <= DENSE_LIMIT or k >= n - 1:
-            vals, vecs = np.linalg.eigh(mat.toarray())
-            vals, vecs = vals[:k], vecs[:, :k]
-        else:
-            scale = abs(H.e_phi) * 2 * mesh.dim * mesh.cells_per_edge ** 2
-            sigma = H.e_chi * H.f_interior_min - 0.01 * scale - 1e-9
-            try:
-                vals, vecs = spla.eigsh(mat, k=k, sigma=sigma, which="LM",
-                                        v0=_start_vector(n), maxiter=maxiter)
-            except spla.ArpackNoConvergence as exc:
-                raise ConvergenceError(str(exc)) from exc
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-        residuals = _validate_eigensystem(lambda v: mat @ v, vals, vecs, h_norm)
-        full = np.stack([H.embed(vecs[:, i]) for i in range(k)], axis=1)
-        return EigenSystem(eigenvalues=vals, eigenvectors=full, mesh=mesh,
-                           residuals=residuals)
-
+def lowest_eigenpairs(H, k: int) -> EigenSystem:
+    """k smallest eigenpairs of a BoxHamiltonian, a FourierHamiltonian or a
+    bare (sparse or dense) matrix, deterministic given the fixed all-ones
+    Lanczos start vector; the solver rule is in the module docstring."""
+    if not (_is_integer(k) and 1 <= k <= MAX_LEVELS):
+        raise ValueError(
+            f"k must be an integer between 1 and {MAX_LEVELS}, got {k!r}")
     if isinstance(H, FourierHamiltonian):
-        n = H.shape[0]
-        if k >= n - 1:
-            raise ValueError("k too large for the matrix-free eigensolver")
-        try:
-            vals, vecs = spla.eigsh(H.as_linear_operator(), k=k, which="SA",
-                                    v0=_start_vector(n),
-                                    maxiter=maxiter or 100 * n)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(str(exc)) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        residuals = _validate_eigensystem(H.matvec, vals, vecs, H.norm_bound())
-        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, mesh=H.mesh,
-                           residuals=residuals)
-
-    mat = sp.csr_matrix(H) if not sp.issparse(H) else H.tocsr()
-    n = mat.shape[0]
-    h_norm = spla.norm(mat, np.inf)
-    if n <= DENSE_LIMIT or k >= n - 1:
+        mat, op, apply_h = None, H.as_linear_operator(), H.matvec
+        h_norm = H.norm_bound()
+    else:
+        mat = H.matrix if isinstance(H, BoxHamiltonian) else (
+            H.tocsr() if sp.issparse(H) else sp.csr_matrix(H))
+        op, apply_h = mat, (lambda v: mat @ v)
+        h_norm = spla.norm(mat, np.inf)
+    n = op.shape[0]
+    if k > n:
+        raise ValueError(f"k = {k} exceeds the {n} unknowns")
+    if mat is not None and (n <= DENSE_LIMIT or k >= n - 1):
         vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
+    elif k >= n - 1:
+        raise ValueError("k too large for the matrix-free eigensolver")
     else:
+        keys = {"which": "SA"}
+        if isinstance(H, BoxHamiltonian):
+            scale = H.e_phi * 2 * H.mesh.dim * H.mesh.cells_per_edge ** 2
+            keys = {"which": "LM", "sigma": (H.e_chi * H.f_interior_min
+                                             - 0.01 * scale - 1e-9)}
         try:
-            vals, vecs = spla.eigsh(mat, k=k, which="SA", v0=_start_vector(n),
-                                    maxiter=maxiter or 100 * n)
+            vals, vecs = spla.eigsh(op, k=k, v0=np.full(n, 1.0 / np.sqrt(n)),
+                                    maxiter=100 * n, **keys)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(str(exc)) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    residuals = _validate_eigensystem(lambda v: mat @ v, vals, vecs, h_norm)
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs, mesh=None,
-                       residuals=residuals)
+    # stable, so exact ties in eigh's ascending output keep their order
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    residuals = _validate_eigensystem(apply_h, vals, vecs, h_norm)
+    if isinstance(H, BoxHamiltonian):
+        full = np.zeros((H.mesh.size, k))
+        full[H.interior_mask] = vecs
+        vecs = full
+    return EigenSystem(eigenvalues=vals, eigenvectors=vecs,
+                       mesh=getattr(H, "mesh", None), residuals=residuals)
 
 
 def probability_spectrum(psi: WaveFunction, eig: EigenSystem):

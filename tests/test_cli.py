@@ -191,3 +191,18 @@ def test_bench_command(tmp_path):
     lines = (tmp_path / "run" / "tts_summary.csv").read_text().splitlines()
     assert lines[0] == "instance,solver,tf_seconds,ps,tts_seconds"
     assert lines[1] == "0,exact_oracle,1.0,1.0,1.0"
+
+
+@pytest.mark.parametrize("levels", ["40", "0", "-1"])
+def test_spectrum_rejects_bad_levels_before_the_evolution(
+        levels, tmp_path, monkeypatch):
+    # 40 used to fail after the whole evolution, 0 wrote only residual rows
+    # and -1 silently wrote one level
+    def never(*args, **kwargs):
+        raise AssertionError("the evolution ran")
+
+    monkeypatch.setattr(qk.dynamics, "qhd_evolve", never)
+    with pytest.raises(ValueError, match="--levels"):
+        main(["spectrum", "--resolution", "16", "--times", "1",
+              "--levels", levels, "--out", str(tmp_path)])
+    assert not (tmp_path / "spectrum.csv").exists()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 import qhdkit as qk
 from qhdkit.errors import DomainError
-from qhdkit.mesh import discretize_objective
+from qhdkit.mesh import discretize_objective, kron_sum
 from qhdkit.objectives import Objective, affine_to_unit_box
 from qhdkit.spectral import DENSE_LIMIT, BoxHamiltonian
 
@@ -262,3 +264,84 @@ def test_lyapunov_requires_three_param_and_periodic():
     sched = qk.make_schedule("nesterov_three_param")
     with pytest.raises(ValueError):
         qk.lyapunov_W(qk.uniform_state(dmesh), sched, 1.0, fop_d, [0.5])
+
+
+def test_lowest_eigenpairs_k_must_be_an_integer():
+    # 2.5 used to raise TypeError from slicing and True returned one pair
+    for k in (2.5, True, 1.0):
+        with pytest.raises(ValueError, match="integer between 1 and 32"):
+            qk.lowest_eigenpairs(np.eye(4), k)
+    assert qk.lowest_eigenpairs(np.eye(4), np.int64(2)).eigenvalues.size == 2
+    # more pairs than unknowns used to return all n pairs without a word
+    with pytest.raises(ValueError, match="exceeds the 3 unknowns"):
+        qk.lowest_eigenpairs(np.diag([3.0, 1.0, 2.0]), 5)
+
+
+@pytest.mark.parametrize("e_phi, e_chi", [
+    (np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), (1.0, -1e-3), (0.0, 0.0)])
+def test_coefficients_checked_before_any_matrix(e_phi, e_chi):
+    # NaN and inf used to reach LAPACK (box) and every case reached ARPACK
+    # (periodic); the objective is never evaluated on a rejected call
+    def never(x):
+        raise AssertionError("the objective was evaluated")
+
+    f = Objective(dim=2, eval_fn=never)
+    with pytest.raises(ValueError, match="coefficients"):
+        qk.build_hamiltonian(qk.Mesh(2, 8, qk.DIRICHLET), f, e_phi, e_chi)
+    with pytest.raises(ValueError, match="coefficients"):
+        qk.build_fourier_hamiltonian(qk.Mesh(2, 8, qk.PERIODIC), f, e_phi,
+                                     e_chi)
+
+
+def _assert_matches_dense(eig, dense, k):
+    # eigenvalues to rtol 1e-9 and the projector onto the k vectors, which
+    # is basis-free inside near-degenerate clusters
+    w, V = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
+    np.testing.assert_allclose(eig.eigenvalues, w, rtol=1e-9)
+    vecs = eig.eigenvectors
+    assert np.abs(V @ (V.T @ vecs) - vecs).max() < 1e-9
+
+
+def test_bare_matrix_lanczos_matches_dense_on_relaxed_grid():
+    # the Hamming-grid operator of the relaxed evolution on d = 5, r = 4
+    r, d, k = 4, 5, 6
+    f = qk.qp_objective(qk.generate_qp(d, 5, seed=1000))
+    fvals = f(qk.Mesh(d, r, qk.DIRICHLET).node_coords())
+    H = -(r ** 2 / 2) * qk.relaxed_adjacency(r, d) + sp.diags(fvals)
+    assert H.shape[0] > DENSE_LIMIT
+    eig = qk.lowest_eigenpairs(H, k)
+    assert eig.mesh is None
+    _assert_matches_dense(eig, H.toarray(), k)
+
+
+def test_fourier_lanczos_matches_dense_materialized_operator():
+    mesh = qk.Mesh(2, 16, qk.PERIODIC)
+    H = qk.build_fourier_hamiltonian(mesh, qk.get_objective("levy"), 1.0,
+                                     1.0)
+    dense = np.column_stack([H.matvec(col) for col in np.eye(mesh.size)])
+    eig = qk.lowest_eigenpairs(H, 5)
+    assert eig.mesh == mesh
+    _assert_matches_dense(eig, dense, 5)
+
+
+@pytest.mark.parametrize("dim, r", [(1, 40), (2, 12), (3, 6)])
+def test_box_matrix_is_interior_block_of_old_formula(dim, r):
+    # the Kronecker sum of interior tridiagonal blocks that the box matrix
+    # was once built from, written out here
+    mesh = qk.Mesh(dim, r, qk.DIRICHLET)
+    f = Objective(dim=dim, eval_fn=lambda x: np.sum(
+        np.cos(5.0 * np.atleast_2d(x)), axis=1))
+    e_phi, e_chi = 0.3, 1.7
+    m = r - 1
+    a1 = sp.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)],
+                  offsets=[1, 0, -1], format="csr")
+    interior = np.zeros(mesh.shape, dtype=bool)
+    interior[(slice(1, -1),) * dim] = True
+    interior = interior.reshape(-1)
+    f_int = discretize_objective(mesh, f).values[interior]
+    old = ((-0.5 * e_phi) * ((r ** 2) * kron_sum(a1, dim))
+           + e_chi * sp.diags(f_int)).tocsr()
+    H = qk.build_hamiltonian(mesh, f, e_phi, e_chi)
+    assert np.array_equal(H.interior_mask, interior)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(old, attr), getattr(H.matrix, attr))
