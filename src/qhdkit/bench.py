@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classical import nagd_run, sgd_run
-from .dynamics import make_schedule
+from .dynamics import _step_count, make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
 from .mesh import DIRICHLET, Mesh, _is_integer, sample_positions
@@ -265,9 +265,11 @@ def _uniform_grid(opts, qp, trials, rng):
 
 
 def _relaxed_qhd(opts, qp, trials, rng):
-    r, T = int(opts["resolution"]), float(opts["T"])
+    r, T, dt = int(opts["resolution"]), float(opts["T"]), float(opts["dt"])
     sched = make_schedule("nesterov_nonconvex", stepsize=opts["stepsize"])
-    final = relaxed_qhd_evolve(qp, r, sched, T, float(opts["dt"])).final_state
+    # only the final state is read: take the observables at the last step
+    final = relaxed_qhd_evolve(qp, r, sched, T, dt, observable_stride=max(
+        1, _step_count(0.0, T, dt))).final_state
     points = sample_positions(final, trials, int(rng.integers(2 ** 31)))
     env = anneal_rescale(sched, r, (MACHINE_A0_OVER_H, 1.0))
     return points, T / env.time_dilation

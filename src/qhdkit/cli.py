@@ -98,6 +98,14 @@ def cmd_spectrum(args):
         raise ValueError(f"--levels must be between 1 and "
                          f"{spectral.MAX_LEVELS}, got {args.levels}")
     f = objectives.get_objective(args.objective)
+    # three-phase spectra are read in the sine-mode basis of the
+    # instantaneous vanishing-boundary Hamiltonian on the shared node grid
+    grid_d = mesh.Mesh(f.dim, args.resolution, mesh.DIRICHLET)
+    interior = (grid_d.nodes_per_edge - 2) ** f.dim
+    if interior < max(args.levels, 2):
+        raise ValueError(
+            f"--resolution {args.resolution} leaves {interior} interior "
+            f"nodes, fewer than the {max(args.levels, 2)} levels solved for")
     times = sorted(float(t) for t in args.times.split(","))
     sched = _SCHEDULES[args.schedule](args.stepsize, max(times))
     out = pathlib.Path(args.out)
@@ -108,9 +116,6 @@ def cmd_spectrum(args):
                                snapshot_times=times)
     spec_rows = []
     ratio_rows = []
-    # three-phase spectra are read in the sine-mode basis of the
-    # instantaneous vanishing-boundary Hamiltonian on the shared node grid
-    grid_d = mesh.Mesh(f.dim, args.resolution, mesh.DIRICHLET)
     for t in times:
         e_phi, e_chi = sched.kinetic_coeff(t), sched.potential_coeff(t)
         hd = spectral.build_hamiltonian(grid_d, f, e_phi, e_chi)

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (BlowupError, ScheduleValidationError, StabilityError,
                      StepGridError)
 from .mesh import (PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   discretize_objective, success_mask, uniform_state,
-                   within_radius)
+                   _is_integer, discretize_objective, success_mask,
+                   uniform_state, within_radius)
 
 @dataclass(frozen=True)
 class Schedule:
@@ -256,11 +256,15 @@ class _Recorder:
     at the last step, and the snapshots, the final state always among them.
     ``fvals`` and ``smask`` are shaped like the engine's state; ``mesh``
     wraps snapshots as WaveFunctions (plain flat vectors when None). Steps
-    are counted from 1, so step m ends at t0 + m dt.
+    are counted from 1, so step m ends at t0 + m dt. A stride that is not
+    an integer >= 1 raises ``ValueError``.
     """
 
     def __init__(self, t0, T, dt, fvals, smask=None, *, snapshot_times=(),
                  stride=1, mesh=None):
+        if not (_is_integer(stride) and stride >= 1):
+            raise ValueError("observable stride must be an integer >= 1, "
+                             f"got {stride!r}")
         self.t0, self.dt, self.stride = t0, dt, stride
         self.n_steps = _step_count(t0, T, dt)
         self.fvals, self.smask, self.mesh = fvals, smask, mesh

@@ -206,3 +206,19 @@ def test_spectrum_rejects_bad_levels_before_the_evolution(
         main(["spectrum", "--resolution", "16", "--times", "1",
               "--levels", levels, "--out", str(tmp_path)])
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("resolution, levels", [("2", "10"), ("3", "10"),
+                                                ("2", "1")])
+def test_spectrum_rejects_too_coarse_grid_before_the_evolution(
+        resolution, levels, tmp_path, monkeypatch):
+    # (r - 1)^d interior nodes must hold max(levels, 2) levels; the solver
+    # used to find out only after the whole evolution had run
+    def never(*args, **kwargs):
+        raise AssertionError("the evolution ran")
+
+    monkeypatch.setattr(qk.dynamics, "qhd_evolve", never)
+    with pytest.raises(ValueError, match="interior nodes"):
+        main(["spectrum", "--resolution", resolution, "--times", "0.01",
+              "--dt", "1e-3", "--levels", levels, "--out", str(tmp_path)])
+    assert not (tmp_path / "spectrum.csv").exists()

@@ -291,12 +291,21 @@ def test_engines_reject_fractional_step_count(engine):
     _run_engine(engine, 0.9, 0.03)   # a whole number of steps runs
 
 
-@pytest.mark.parametrize("engine", ["qhd", "qaa"])
+@pytest.mark.parametrize("engine", ["qhd", "relaxed", "qaa"])
 def test_final_step_recorded_whatever_the_stride(engine):
     traj = _run_engine(engine, 0.1, 1e-2, observable_stride=4)
     np.testing.assert_allclose(traj.times, [0.04, 0.08, 0.1])
     assert len(traj.observables["norm"]) == 3
     assert traj.snapshot_times[-1] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("engine", ["qhd", "relaxed", "qaa"])
+@pytest.mark.parametrize("stride", [0, -3, 2.5, True])
+def test_engines_reject_bad_stride(engine, stride):
+    # 0 used to raise ZeroDivisionError after the first step, -3 recorded
+    # every third step and 2.5 every fifth
+    with pytest.raises(ValueError, match="observable stride"):
+        _run_engine(engine, 0.1, 1e-2, observable_stride=stride)
 
 
 def test_quadratic_closed_form_rate():

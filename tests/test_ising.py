@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import qhdkit as qk
+from qhdkit.dynamics import _Recorder
 from qhdkit.errors import DomainError, ResourceError
-from qhdkit.ising import (binomial_state, bit_table, block_weights,
-                          format_model, ising_energies, ising_to_qubo,
-                          parse_model, qubo_energies, qubo_to_ising,
-                          schedule_envelope)
+from qhdkit.ising import (STRANG_BLOCK_CAP, _strang_evolve, binomial_state,
+                          bit_table, block_weights, format_model,
+                          ising_energies, ising_to_qubo, parse_model,
+                          qubo_energies, qubo_to_ising, schedule_envelope)
 from qhdkit.objectives import QpInstance, qp_objective
 
 
@@ -470,6 +471,34 @@ def test_relaxed_evolution_matches_two_tensordot_step():
     for t, step in ((0.6, 100), (0.75, 250), (1.0, 500)):
         got = traj.snapshot_at(t).amplitudes
         assert np.max(np.abs(got - snaps[step])) < 1e-12, t
+
+
+# ragged last blocks at r = 1 (g = 4), r = 2 and r = 3 (g = 2); g = 1 above
+@pytest.mark.parametrize("r, d", [(1, 5), (1, 6), (1, 7), (2, 3), (3, 3),
+                                  (4, 3), (5, 2)])
+def test_strang_blocks_match_per_axis_contraction(r, d):
+    # the loop's earlier step, kept here as its reference: an exp potential
+    # phase and one tensordot of the per-axis unitary per axis
+    fvals = np.random.default_rng(10 * r + d).uniform(-1, 1, (r + 1,) * d)
+    kin, pot = (lambda t: 2.0 + np.sin(t)), (lambda t: 1.0 + 3.0 * t)
+    dt, steps = 1e-3, 200
+    got = _strang_evolve(fvals, r, kin, pot,
+                         _Recorder(0.0, steps * dt, dt, fvals))
+    lam, vecs = np.linalg.eigh(qk.relaxed_adjacency(r, 1).toarray())
+    psi = binomial_state(r, d).amplitudes.reshape(fvals.shape)
+    for j in range(steps):
+        tm = (j + 0.5) * dt
+        half_pot = np.exp(-0.5j * dt * pot(tm) * fvals)
+        kin_u = (vecs * np.exp(1j * dt * kin(tm) * lam)) @ vecs.T
+        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (kin_u.conj().T @ kin_u)
+        psi = half_pot * psi
+        for _ in range(d):
+            psi = np.tensordot(psi, kin_u, axes=(0, 1))
+        psi = half_pot * psi
+    assert got.shape == psi.shape
+    assert np.max(np.abs(got - psi)) < 1e-12
+    if (r + 1) ** 2 > STRANG_BLOCK_CAP:     # g = 1: the same bits
+        assert np.array_equal(got, psi)
 
 
 def test_strang_loop_keeps_the_norm_over_many_steps():
