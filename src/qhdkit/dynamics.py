@@ -1,6 +1,7 @@
-"""Time evolution engines: pseudo-spectral split-step descent dynamics,
-baseline adiabatic evolution over radix-2 encodings, schedule construction
-and validation, and time-dilation transforms.
+"""Time evolution engines: schedule construction and validation,
+time-dilation transforms, radix-2 tabulation and the two time-step loops,
+the pseudo-spectral split step of the descent dynamics and the Strang loop
+of the relaxed grid, the dense Ising machine and the adiabatic baseline.
 
 Conventions pinned for reproducibility across modules:
 
@@ -8,27 +9,34 @@ Conventions pinned for reproducibility across modules:
   (the numpy FFT order); the kinetic eigenvalue of mode vector k is
   (1/2) * sum_i (2 pi k_i)^2 on the unit box. ``_axis_kinetic_eigenvalues``
   is the one place that builds the per-axis term.
-* A step covering [t_j, t_j + dt] samples the schedule coefficients at the
-  *end* of the interval, so schedules singular at t = 0 are never evaluated
-  there and the first coefficients are those at t0 + dt.
+* A split step covering [t_j, t_j + dt] samples the schedule coefficients
+  at the *end* of the interval, so schedules singular at t = 0 are never
+  evaluated there and the first coefficients are those at t0 + dt.
 * Each split step applies the potential phase first, then the kinetic phase
   in Fourier space. The kinetic phase is a product of per-axis 1-D phases,
   since its eigenvalue is a sum over axes; the potential phase is cos/sin
   of its angle written into a buffer made once per call; the state is
   multiplied and transformed in place.
+* A Strang step samples the coefficients at the midpoint t_j + dt/2. Its
+  kinetic step is a Kronecker product of one (r+1)x(r+1) unitary per axis,
+  applied as one GEMM per block of axes (the "shuffle" algorithm for
+  Kronecker products); at r = 1, the Ising machine and the adiabatic
+  baseline, 12 qubits take three 16x16 GEMMs per step.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import (BlowupError, ScheduleValidationError, StabilityError,
-                     StepGridError)
-from .mesh import (PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _is_integer, discretize_objective, success_mask,
+from .errors import (BlowupError, EvaluationError, ResourceError,
+                     ScheduleValidationError, StabilityError, StepGridError)
+from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
+                   _is_integer, discretize_objective, kron_sum, success_mask,
                    uniform_state, within_radius)
 
 @dataclass(frozen=True)
@@ -321,6 +329,92 @@ class _Recorder:
                           snapshots=self.snaps)
 
 
+# ---------------------------------------------------------------------------
+# The Strang loop
+# ---------------------------------------------------------------------------
+
+def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
+    """Weighted tridiagonal kinetic coupling extended by Kronecker sum.
+
+    The per-axis entries are sqrt((j+1)(r-j)/r) between levels j and j+1;
+    this is exactly the Hamming-subspace restriction of the transverse-field
+    sum over r qubits scaled by 1/sqrt(r), so the subspace identities hold
+    with zero defect (bit-flip symmetry forces the j <-> r-1-j symmetric
+    profile).
+    """
+    if r < 1:
+        raise ValueError("resolution must be >= 1")
+    j = np.arange(r, dtype=float)
+    w = np.sqrt((j + 1.0) * (r - j) / r)
+    return kron_sum(sp.diags([w, w], offsets=[1, -1], format="csr"), d)
+
+
+def binomial_state(r: int, d: int) -> WaveFunction:
+    """Per-axis amplitudes sqrt(C(r, j) / 2^r): the grid image of the
+    uniform superposition over d blocks of r qubits."""
+    mesh = Mesh(d, r, DIRICHLET)
+    axis = np.sqrt(np.array([math.comb(r, j) for j in range(r + 1)])
+                   / 2.0 ** r)
+    amp = axis
+    for _ in range(d - 1):
+        amp = np.multiply.outer(amp, axis)
+    return WaveFunction(mesh, amp.reshape(-1).astype(complex))
+
+
+#: the largest dimension (r+1)^g of a block unitary in the Strang kinetic step
+STRANG_BLOCK_CAP = 16
+
+
+def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
+    """The one Strang loop: from the per-axis binomial state on the grid of
+    ``fvals``, evolve under -kin(t) A + pot(t) diag(fvals), A being
+    ``relaxed_adjacency(r, 1)`` along every axis, with midpoint coefficients
+    on the step grid of ``rec``; records each step and returns the state.
+
+    The half potential phase is cos/sin of its angle written into a buffer
+    made once per call. The kinetic step applies the per-axis unitary U to
+    blocks of g axes at a time, g the largest value with (r+1)^g <=
+    ``STRANG_BLOCK_CAP`` and g <= d (at least 1), the last block holding
+    the remainder: one GEMM per block with W = U^{(x)g}, built by
+    broadcasting, against the state reshaped to (block, rest). Each GEMM
+    moves its block to the end, so after every block the axes are back in
+    order. At r >= 4, g = 1 and this is one GEMM per axis.
+    """
+    n, d = r + 1, fvals.ndim
+    g = 1
+    while g < d and n ** (g + 1) <= STRANG_BLOCK_CAP:
+        g += 1
+    blocks = [g] * (d // g) + ([d % g] if d % g else [])
+    lam, vecs = np.linalg.eigh(relaxed_adjacency(r, 1).toarray())
+    t0, dt = rec.t0, rec.dt
+    psi = binomial_state(r, d).amplitudes.reshape(fvals.shape)
+    angle = np.empty(fvals.shape)
+    half_pot = np.empty(fvals.shape, dtype=complex)
+    for j in range(rec.n_steps):
+        tm = t0 + (j + 0.5) * dt
+        np.multiply(-0.5 * dt * pot(tm), fvals, out=angle)
+        np.cos(angle, out=half_pot.real)
+        np.sin(angle, out=half_pot.imag)
+        kin_u = (vecs * np.exp(1j * dt * kin(tm) * lam)) @ vecs.T
+        # eigh's vecs are orthogonal only to an ulp, the same way every
+        # step, which drifts the norm; a Newton-Schulz polar step stops that
+        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (kin_u.conj().T @ kin_u)
+        powers = [kin_u]            # powers[s - 1] = kin_u^{(x)s}
+        for _ in range(g - 1):
+            w = powers[-1]
+            powers.append((w[:, None, :, None] * kin_u[None, :, None, :])
+                          .reshape(w.shape[0] * n, -1))
+        # phase first: numpy's complex product is not bitwise symmetric in
+        # its operands, and this order keeps the earlier loop's bits at g = 1
+        np.multiply(half_pot, psi, out=psi)
+        for s in blocks:
+            psi = psi.reshape(n ** s, -1).T @ powers[s - 1].T
+        psi = psi.reshape(fvals.shape)
+        np.multiply(half_pot, psi, out=psi)
+        rec.record(j + 1, psi)
+    return psi
+
+
 def _axis_kinetic_eigenvalues(n: int) -> np.ndarray:
     """(1/2)(2 pi k)^2 for the signed frequencies k of an n-node periodic
     axis, in FFT order {0, ..., N/2-1, -N/2, ..., -1}."""
@@ -423,49 +517,37 @@ def radix2_problem(f, bits_per_var: int) -> Radix2Problem:
     dim = f.dim
     n = dim * bits_per_var
     if n > 24:
-        raise ValueError(f"dense radix-2 table infeasible for {n} bits")
+        raise ResourceError(f"dense radix-2 table infeasible for {n} bits")
     points = Mesh(dim, 2 ** bits_per_var, PERIODIC).node_coords()
     diag = np.asarray(f(points), dtype=float)
     return Radix2Problem(dim=dim, bits_per_var=bits_per_var, diag=diag,
                          points=points)
 
 
-#: drift of the leapfrog's conserved quadratic form per unit time beyond
-#: which ``qaa_evolve`` raises. A stable run keeps the drift at the benign
-#: O(dt^2 <H^2>) level (about 1e-5 at dt = 1e-3 on a 12-bit problem) while a
-#: too-large dt overshoots any threshold within a few steps, so this value
-#: separates the regimes cleanly.
-QAA_STABILITY_TOL = 1e-4
-
-
-def _flip_apply(psi_nd):
-    """Sum over single-bit flips of a state shaped (2,)*n."""
-    out = np.zeros_like(psi_nd)
-    for ax in range(psi_nd.ndim):
-        out += np.flip(psi_nd, axis=ax)
-    return out
-
-
 def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
                points: np.ndarray = None, x_star=None, radius: float = 0.1,
                observable_stride: int = 1) -> Trajectory:
-    """Leapfrog-integrated interpolation from the transverse-field mixer to a
-    diagonal problem Hamiltonian: H(t) = (1 - g) H0 + g H1 with
-    H0 = -(sum of single-bit flips) applied matrix-free and H1 = diag.
+    """Interpolation from the transverse-field mixer to a diagonal problem
+    Hamiltonian, H(t) = -(1 - g) sum_j sigma_x^(j) + g diag, by the Strang
+    loop at r = 1 on the (2,)*n grid: ``relaxed_adjacency(1, 1)`` is
+    sigma_x, and ``binomial_state(1, n)`` is the uniform superposition (the
+    mixer ground state) that the run starts from.
 
-    Starts from the uniform superposition (the mixer ground state). The
-    integrator is the time-reversible staggered scheme; its conserved
-    quadratic form is monitored and a drift beyond ``QAA_STABILITY_TOL`` per
-    unit time raises a stability error advising a smaller dt.
+    A Strang step is unitary at any dt, but its phases alias once they span
+    more than pi. At any t the eigenphases of one step's two factors span at
+    most 2 n dt (1 - g) and ptp(diag) dt g, so dt * max(2n, ptp(diag)) > pi
+    raises ``StabilityError`` before any step, without calling the schedule.
+    A non-finite diag entry raises ``EvaluationError`` with its index before
+    that, and more than 24 bits ``ResourceError``.
     """
     diag = np.asarray(diag, dtype=float)
-    n = int(round(np.log2(diag.size)))
-    if 2 ** n != diag.size:
-        raise ValueError("diagonal length must be a power of two")
+    n = diag.size.bit_length() - 1
+    if n < 1 or 2 ** n != diag.size:
+        raise ValueError("diagonal length must be a power of two >= 2, got "
+                         f"{diag.size}")
     if n > 24:
-        raise ValueError(f"state-vector evolution infeasible for {n} bits")
-    g = sched.anneal_fraction
-    if g is None:
+        raise ResourceError(f"state-vector evolution infeasible for {n} bits")
+    if sched.anneal_fraction is None:
         raise ValueError("QAA evolution needs an annealing-fraction schedule")
 
     shape = (2,) * n
@@ -473,33 +555,14 @@ def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
     smask = (within_radius(points, x_star, radius).reshape(shape)
              if points is not None and x_star is not None else None)
     rec = _Recorder(0.0, T, dt, diag_nd, smask, stride=observable_stride)
-
-    def h_apply(v, t):
-        gt = g(t)
-        return -(1.0 - gt) * _flip_apply(v) + gt * diag_nd * v
-
-    R = np.full(shape, 1.0 / np.sqrt(diag.size))
-    I_half = -0.5 * dt * h_apply(R, 0.0)  # I(dt/2) from I(0) = 0
-    n_steps = rec.n_steps
-
-    q0 = None
-    I_prev = np.zeros(shape)
-    for k in range(n_steps):
-        R = R + dt * h_apply(I_half, (k + 0.5) * dt)
-        I_next = I_half - dt * h_apply(R, (k + 1) * dt)
-        # conserved quadratic of the staggered scheme
-        q = float(np.sum(R * R) + np.sum(I_half * I_next))
-        if q0 is None:
-            q0 = q
-        if not np.isfinite(q) or abs(q - q0) > QAA_STABILITY_TOL * max(
-                (k + 1) * dt, 1.0):
-            raise StabilityError(
-                f"staggered-norm drift {abs(q - q0):.3e} at t={(k + 1) * dt}; "
-                f"reduce dt")
-        I_prev, I_half = I_half, I_next
-        if rec.due(k + 1):
-            I_sync = 0.5 * (I_prev + I_half)
-            rec.observe(k + 1, R * R + I_sync * I_sync)
-    # the stagger leaves I half a step ahead of R; pull it back to T
-    I_sync = I_half + 0.5 * dt * h_apply(R, n_steps * dt)
-    return rec.finish(R + 1j * I_sync)
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if bad.size:
+        raise EvaluationError(f"diagonal is non-finite at index {bad[0]}",
+                              index=int(bad[0]))
+    span = max(2 * n, float(np.ptp(diag)))
+    if dt * span > np.pi:
+        raise StabilityError(f"dt * max(2n, ptp(diag)) = {dt * span:.3g} "
+                             f"exceeds pi; reduce dt to {np.pi / span:.3g} "
+                             f"or less")
+    return rec.finish(_strang_evolve(diag_nd, 1, sched.kinetic_coeff,
+                                     sched.potential_coeff, rec))

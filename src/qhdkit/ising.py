@@ -1,15 +1,10 @@
 """Analog-implementation pipeline: Hamming and radix-2 encodings of box QPs
 into Ising/QUBO coefficient sets, time-energy rescaling, sample decoding, and
-one Strang loop for the relaxed grid reference evolution and, at r = 1, for
-the dense transverse-field Ising machine that checks the subspace encodings.
-
-The Strang loop's kinetic step is a Kronecker product of one (r+1)x(r+1)
-unitary per axis. It is applied factor by factor as reshaped GEMMs (the
-"shuffle" algorithm for Kronecker products): the axes are grouped into
-blocks of g, g the largest value with (r+1)^g <= ``STRANG_BLOCK_CAP`` and
-g <= d, and each block is one GEMM with the g-fold Kronecker power. The
-12-qubit machine (r = 1) takes three 16x16 GEMMs per step instead of twelve
-2x2 contractions; at r >= 4, g = 1.
+the relaxed grid reference evolution and, at r = 1, the dense
+transverse-field Ising machine that checks the subspace encodings. Both run
+the one Strang loop, ``dynamics._strang_evolve``. The loop, its
+``relaxed_adjacency`` coupling and its ``binomial_state`` start live in
+``dynamics``, and this module re-exports them.
 
 Bit conventions (fixed): computational basis states are indexed by integers
 whose binary digits give the qubit values with qubit 0 as the most
@@ -25,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import Schedule, Trajectory, _Recorder, _step_count
+from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
+                       _step_count, _strang_evolve, binomial_state,
+                       relaxed_adjacency)
 from .errors import DomainError, ResourceError, StabilityError
-from .mesh import DIRICHLET, Mesh, WaveFunction, kron_sum, success_mask
+from .mesh import DIRICHLET, Mesh, success_mask
 from .objectives import QpInstance, qp_objective
 
 #: dense 2^n feasibility cap for oracle-side constructions
@@ -180,22 +177,6 @@ def block_weights(n: int, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Encodings
 # ---------------------------------------------------------------------------
-
-def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
-    """Weighted tridiagonal kinetic coupling extended by Kronecker sum.
-
-    The per-axis entries are sqrt((j+1)(r-j)/r) between levels j and j+1;
-    this is exactly the Hamming-subspace restriction of the transverse-field
-    sum over r qubits scaled by 1/sqrt(r), so the subspace identities hold
-    with zero defect (bit-flip symmetry forces the j <-> r-1-j symmetric
-    profile).
-    """
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
-    j = np.arange(r, dtype=float)
-    w = np.sqrt((j + 1.0) * (r - j) / r)
-    return kron_sum(sp.diags([w, w], offsets=[1, -1], format="csr"), d)
-
 
 def hamming_isometry(r: int, d: int) -> np.ndarray:
     """Column-orthonormal map from grid basis |j_1...j_d> to the tensor
@@ -410,72 +391,6 @@ def anneal_rescale(sched: Schedule, r: int, machine) -> AnnealEnvelope:
 # ---------------------------------------------------------------------------
 # Reference evolutions
 # ---------------------------------------------------------------------------
-
-def binomial_state(r: int, d: int) -> WaveFunction:
-    """Per-axis amplitudes sqrt(C(r, j) / 2^r): the grid image of the
-    uniform superposition over d blocks of r qubits."""
-    mesh = Mesh(d, r, DIRICHLET)
-    axis = np.sqrt(np.array([math.comb(r, j) for j in range(r + 1)])
-                   / 2.0 ** r)
-    amp = axis
-    for _ in range(d - 1):
-        amp = np.multiply.outer(amp, axis)
-    return WaveFunction(mesh, amp.reshape(-1).astype(complex))
-
-
-#: the largest dimension (r+1)^g of a block unitary in the Strang kinetic step
-STRANG_BLOCK_CAP = 16
-
-
-def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
-    """The one Strang loop: from the per-axis binomial state on the grid of
-    ``fvals``, evolve under -kin(t) A + pot(t) diag(fvals), A being
-    ``relaxed_adjacency(r, 1)`` along every axis, with midpoint coefficients
-    on the step grid of ``rec``; records each step and returns the state.
-
-    The half potential phase is cos/sin of its angle written into a buffer
-    made once per call. The kinetic step applies the per-axis unitary U to
-    blocks of g axes at a time, g the largest value with (r+1)^g <=
-    ``STRANG_BLOCK_CAP`` and g <= d (at least 1), the last block holding
-    the remainder: one GEMM per block with W = U^{(x)g}, built by
-    broadcasting, against the state reshaped to (block, rest). Each GEMM
-    moves its block to the end, so after every block the axes are back in
-    order. At r >= 4, g = 1 and this is one GEMM per axis.
-    """
-    n, d = r + 1, fvals.ndim
-    g = 1
-    while g < d and n ** (g + 1) <= STRANG_BLOCK_CAP:
-        g += 1
-    blocks = [g] * (d // g) + ([d % g] if d % g else [])
-    lam, vecs = np.linalg.eigh(relaxed_adjacency(r, 1).toarray())
-    t0, dt = rec.t0, rec.dt
-    psi = binomial_state(r, d).amplitudes.reshape(fvals.shape)
-    angle = np.empty(fvals.shape)
-    half_pot = np.empty(fvals.shape, dtype=complex)
-    for j in range(rec.n_steps):
-        tm = t0 + (j + 0.5) * dt
-        np.multiply(-0.5 * dt * pot(tm), fvals, out=angle)
-        np.cos(angle, out=half_pot.real)
-        np.sin(angle, out=half_pot.imag)
-        kin_u = (vecs * np.exp(1j * dt * kin(tm) * lam)) @ vecs.T
-        # eigh's vecs are orthogonal only to an ulp, the same way every
-        # step, which drifts the norm; a Newton-Schulz polar step stops that
-        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (kin_u.conj().T @ kin_u)
-        powers = [kin_u]            # powers[s - 1] = kin_u^{(x)s}
-        for _ in range(g - 1):
-            w = powers[-1]
-            powers.append((w[:, None, :, None] * kin_u[None, :, None, :])
-                          .reshape(w.shape[0] * n, -1))
-        # phase first: numpy's complex product is not bitwise symmetric in
-        # its operands, and this order keeps the earlier loop's bits at g = 1
-        np.multiply(half_pot, psi, out=psi)
-        for s in blocks:
-            psi = psi.reshape(n ** s, -1).T @ powers[s - 1].T
-        psi = psi.reshape(fvals.shape)
-        np.multiply(half_pot, psi, out=psi)
-        rec.record(j + 1, psi)
-    return psi
-
 
 def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
                        dt: float, *, t0: float = 0.0, snapshot_times=(),

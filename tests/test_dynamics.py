@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import qhdkit as qk
-from qhdkit.dynamics import Radix2Problem, _flip_apply, kinetic_eigenvalues
-from qhdkit.errors import (ScheduleValidationError, StabilityError,
+from qhdkit.dynamics import Radix2Problem, kinetic_eigenvalues
+from qhdkit.errors import (EvaluationError, ResourceError,
+                           ScheduleValidationError, StabilityError,
                            StepGridError)
 from qhdkit.mesh import success_mask
 from qhdkit.objectives import Objective
+
+
+def _flip_apply(psi_nd):
+    """Sum over single-bit flips of a state shaped (2,)*n."""
+    out = np.zeros_like(psi_nd)
+    for ax in range(psi_nd.ndim):
+        out += np.flip(psi_nd, axis=ax)
+    return out
 
 
 def test_nesterov_nonconvex_coefficients():
@@ -441,6 +451,111 @@ def test_qaa_stability_error_on_large_dt():
     sched = qk.make_schedule("linear_qaa", horizon=1.0)
     with pytest.raises(StabilityError):
         qk.qaa_evolve(diag, sched, 1.0, 0.5)
+
+
+def _never(t):
+    raise AssertionError("the schedule was called")
+
+
+_NEVER = qk.Schedule(kinetic_coeff=_never, potential_coeff=_never,
+                     anneal_fraction=_never)
+
+
+def _leapfrog_qaa(diag, T, dt):
+    """The staggered leapfrog that integrated QAA before the Strang loop,
+    kept as an independent oracle: R and I advance half a step apart under
+    H(t) = -(1 - t/T) sum sigma_x + (t/T) diag, and I is pulled back to T."""
+    n = int(np.log2(diag.size))
+    diag_nd = diag.reshape((2,) * n)
+
+    def h_apply(v, t):
+        g = t / T
+        return -(1 - g) * _flip_apply(v) + g * diag_nd * v
+
+    R = np.full(diag_nd.shape, 1.0 / np.sqrt(diag.size))
+    I = -0.5 * dt * h_apply(R, 0.0)
+    n_steps = int(round(T / dt))
+    for k in range(n_steps):
+        R = R + dt * h_apply(I, (k + 0.5) * dt)
+        I = I - dt * h_apply(R, (k + 1) * dt)
+    psi = (R + 1j * (I + 0.5 * dt * h_apply(R, T))).reshape(-1)
+    return psi / np.linalg.norm(psi)
+
+
+def test_qaa_matches_leapfrog_oracle():
+    # both integrators are second order: a tenth of dt, a hundredth of the gap
+    diag = qk.radix2_problem(qk.get_objective("levy"), 3).diag
+    T = 1.0
+    sched = qk.make_schedule("linear_qaa", horizon=T)
+    for dt, tol in ((1e-3, 1e-6), (1e-4, 1e-8)):
+        got = qk.qaa_evolve(diag, sched, T, dt).final_state
+        gap = np.max(np.abs(got - _leapfrog_qaa(diag, T, dt)))
+        assert gap < tol, (dt, gap)
+
+
+def test_qaa_matches_dense_strang_product():
+    # each step is expm(-i dt/2 g D) expm(i dt (1 - g) Sx) expm(-i dt/2 g D)
+    # with g at the step midpoint, Sx the dense sum of sigma_x over 4 qubits
+    n, T, dt = 4, 1.0, 0.05
+    diag = np.random.default_rng(7).uniform(-1.0, 2.0, 2 ** n)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Sx = sum(np.kron(np.kron(np.eye(2 ** q), sx), np.eye(2 ** (n - q - 1)))
+             for q in range(n))
+    D = np.diag(diag)
+    psi = np.full(2 ** n, 0.25, dtype=complex)
+    for k in range(20):
+        g = (k + 0.5) * dt / T
+        half = expm(-0.5j * dt * g * D)
+        psi = half @ (expm(1j * dt * (1 - g) * Sx) @ (half @ psi))
+    traj = qk.qaa_evolve(diag, qk.make_schedule("linear_qaa", horizon=T), T,
+                         dt)
+    assert np.max(np.abs(traj.final_state - psi)) < 1e-12
+    assert np.max(np.abs(traj.observables["norm"] - 1.0)) < 1e-12
+
+
+def test_qaa_step_guard_boundary():
+    # 2n = 8 > ptp(diag) = 5, so the guard allows dt up to pi/8 = 0.3927
+    diag = np.linspace(0.0, 5.0, 2 ** 4)
+    for shifted in (diag, diag + 100.0):   # a shift is a global phase
+        traj = qk.qaa_evolve(shifted, qk.make_schedule("linear_qaa",
+                                                       horizon=0.39),
+                             0.39, 0.39)
+        assert abs(traj.observables["norm"][-1] - 1.0) < 1e-12
+    with pytest.raises(StabilityError, match="reduce dt"):
+        qk.qaa_evolve(diag, _NEVER, 0.4, 0.4)
+    # ptp(diag) = 20 > 2n: the bound is pi/20 = 0.157
+    wide = np.linspace(0.0, 20.0, 2 ** 4)
+    qk.qaa_evolve(wide, qk.make_schedule("linear_qaa", horizon=0.15), 0.15,
+                  0.15)
+    with pytest.raises(StabilityError):
+        qk.qaa_evolve(wide, _NEVER, 0.16, 0.16)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qaa_rejects_non_finite_diag_before_any_step(bad):
+    # a NaN used to surface after the first step as a StabilityError that
+    # advised a smaller dt
+    diag = np.linspace(0.0, 5.0, 2 ** 4)
+    diag[5] = diag[11] = bad
+    with pytest.raises(EvaluationError) as err:
+        qk.qaa_evolve(diag, _NEVER, 1.0, 1e-3, observable_stride=100)
+    assert err.value.index == 5
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 6])
+def test_qaa_rejects_bad_diag_length(size):
+    # 0 used to fail as an OverflowError from log2, 1 ran a 0-qubit evolution
+    with pytest.raises(ValueError, match="power of two"):
+        qk.qaa_evolve(np.zeros(size), _NEVER, 1.0, 0.1)
+
+
+def test_dense_caps_raise_resource_error():
+    # a broadcast view holds 2^25 entries without allocating them
+    with pytest.raises(ResourceError, match="25 bits"):
+        qk.qaa_evolve(np.broadcast_to(0.0, 2 ** 25), _NEVER, 1.0, 0.1)
+    f = Objective(dim=5, eval_fn=lambda x: np.atleast_2d(x)[:, 0])
+    with pytest.raises(ResourceError, match="25 bits"):
+        qk.radix2_problem(f, 5)
 
 
 def test_dilate_identity():
