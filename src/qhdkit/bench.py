@@ -23,6 +23,9 @@ from .objectives import QpInstance, qp_eval_grad, qp_objective
 #: two objective values count as the same solution within this gap
 SUCCESS_GAP = 0.01
 
+#: most nodes a brute-force (r+1)^d oracle grid may hold
+ORACLE_GRID_CAP = 10 ** 7
+
 #: target confidence of the time-to-solution metric
 TTS_CONFIDENCE = 0.99
 
@@ -109,13 +112,21 @@ def generate_qp(d: int, s: int, seed: int) -> QpInstance:
     return QpInstance(d, Q, b)
 
 
+def _oracle_grid(dim: int, r: int) -> Mesh:
+    """The (r+1)^dim node grid of the brute-force oracles; more than
+    ``ORACLE_GRID_CAP`` nodes raise ``ResourceError`` before it is built."""
+    grid = Mesh(dim, r, DIRICHLET)
+    if grid.size > ORACLE_GRID_CAP:
+        raise ResourceError(f"oracle grid of {grid.size} nodes exceeds the "
+                            f"cap of {ORACLE_GRID_CAP}")
+    return grid
+
+
 def grid_bruteforce_min(qp: QpInstance, r: int):
     """Exhaustive minimum over the (r+1)^d grid; ties break toward the
-    lexicographically first multi-index."""
-    grid = Mesh(qp.dim, r, DIRICHLET)
-    if grid.size > 10 ** 7:
-        raise ResourceError(f"grid of {grid.size} nodes exceeds the cap")
-    pts = grid.node_coords()
+    lexicographically first multi-index. More than ``ORACLE_GRID_CAP``
+    nodes raise ``ResourceError``."""
+    pts = _oracle_grid(qp.dim, r).node_coords()
     vals = qp_objective(qp)(pts)
     idx = int(np.argmin(vals))
     return pts[idx], float(vals[idx])
@@ -172,11 +183,12 @@ def local_refine(qp: QpInstance, x0, tol: float = 1e-8,
 def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     """Ground-truth helper: exhaustive grid minimum polished by refinement
     from the ``n_starts`` best grid points; ties go to the better-ranked
-    start."""
+    start. More than ``ORACLE_GRID_CAP`` grid nodes raise
+    ``ResourceError``."""
     if not (_is_integer(n_starts) and n_starts >= 1):
         raise ValueError(f"n_starts must be an integer >= 1, got "
                          f"{n_starts!r}")
-    pts = Mesh(qp.dim, r, DIRICHLET).node_coords()
+    pts = _oracle_grid(qp.dim, r).node_coords()
     vals = qp_objective(qp)(pts)
     order = np.argsort(vals, kind="stable")[:n_starts]
     x = local_refine(qp, pts[order])
@@ -328,8 +340,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
     byte-identical CSV output; wall-clock timings are reported only in the
     metadata file. A run-level field out of its range, an unknown solver
     name or key, or a solver value out of its key's range raises
-    ``ValueError`` before any compute; later solver failures are recorded
-    and the run continues.
+    ``ValueError`` before any compute, and a ground-truth grid of more than
+    ``ORACLE_GRID_CAP`` nodes ``ResourceError``; later solver failures are
+    recorded and the run continues.
     Returns one TtsReport per successful (instance, solver).
     """
     import pathlib
@@ -341,6 +354,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
     if not (_is_integer(s) and 1 <= s <= config.dim):
         raise ValueError(f"config 'sparsity' must be an integer in "
                          f"[1, dim={config.dim}], got {s!r}")
+    _oracle_grid(config.dim, config.truth_resolution)
     for solver in config.solvers:
         name = solver.get("name")
         if name not in _SOLVERS:

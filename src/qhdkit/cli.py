@@ -150,6 +150,8 @@ def cmd_encode(args):
 
 
 def cmd_anneal_sim(args):
+    if args.shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {args.shots}")
     model, layout = ising.parse_model(pathlib.Path(args.model).read_text())
     if layout is None:
         raise SystemExit("model file carries no layout line; cannot decode")

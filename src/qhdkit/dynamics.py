@@ -17,6 +17,14 @@ Conventions pinned for reproducibility across modules:
   since its eigenvalue is a sum over axes; the potential phase is cos/sin
   of its angle written into a buffer made once per call; the state is
   multiplied and transformed in place.
+* A split step runs in four stages on independent slabs of the grid: the
+  potential phase and the FFTs along axes d-1, ..., 1 on slabs of axis 0;
+  the FFT along axis 0 and the kinetic phases on slabs of the last axis;
+  then the inverse FFTs in the same two groups. That is ``fftn``'s axis
+  order, so the results are bit-identical whatever the slab count. Grids
+  of d >= 2 axes are cut into min(usable CPUs, nodes // 2^17) slabs (at
+  least one), run by this thread and a module-level thread pool; grids
+  below 2^18 nodes and 1-D grids run one slab on this thread.
 * A Strang step samples the coefficients at the midpoint t_j + dt/2. Its
   kinetic step is a Kronecker product of one (r+1)x(r+1) unitary per axis,
   applied as one GEMM per block of axes (the "shuffle" algorithm for
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,6 +449,63 @@ def kinetic_eigenvalues(mesh: Mesh) -> np.ndarray:
     return out
 
 
+#: grid nodes per split-step slab: a grid of d >= 2 axes gets one slab per
+#: SLAB_NODES nodes, up to one per usable CPU
+SLAB_NODES = 2 ** 17
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slab_count(mesh: Mesh) -> int:
+    """Slabs a split step is cut into: one per usable CPU, at most one per
+    ``SLAB_NODES`` grid nodes, and 1 on 1-D grids."""
+    if mesh.dim < 2:
+        return 1
+    return max(1, min(_usable_cpus(), mesh.size // SLAB_NODES))
+
+
+def _slab_pool():
+    """The worker threads that run every slab but the first, made (and their
+    module imported) on first need."""
+    global _POOL
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="qhdkit-slab")
+        return _POOL
+
+
+def _forget_pool():
+    """Drop the pool in a forked child: it has none of the parent's
+    threads, and a pool carried over would queue slabs that never run."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _on_slabs(stage, slabs, *args):
+    """Run ``stage(s, *args)`` for every slab s: the first on this thread,
+    the others on the pool, and return once all are done."""
+    pending = [_slab_pool().submit(stage, s, *args) for s in slabs[1:]]
+    try:
+        stage(slabs[0], *args)
+    finally:
+        for fut in pending:
+            fut.result()
+
+
 def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
                psi0: WaveFunction = None, snapshot_times=(), *,
                t0: float = 0.0, x_star=None, success_radius: float = 0.1,
@@ -454,6 +521,19 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     once per step and multiplied in along each axis in turn. ``psi0`` is
     left unchanged.
 
+    Each step runs in four stages, each on independent slabs of the grid:
+    (a) the potential phase, then the FFTs along axes d-1, ..., 1, on slabs
+    of axis 0; (b) the FFT along axis 0, then the kinetic phases of axes
+    0, ..., d-1, on slabs of the last axis; (c) the inverse FFTs along axes
+    d-1, ..., 1, on slabs of axis 0; (d) the inverse FFT along axis 0, on
+    slabs of the last axis. That is ``fftn``'s axis order, so every node
+    sees the same operations in the same order whatever the slab count,
+    and the results do not depend on it. A grid of d >= 2 axes is cut into
+    min(usable CPUs, nodes // ``SLAB_NODES``) slabs, at least one; this
+    thread runs the first and a module-level thread pool the others. A
+    second slab thus needs 2 * 2^17 nodes (512^2, 64^3); smaller grids, and
+    every 1-D grid, run one slab on this thread without the pool.
+
     Records E[f], success probability (when a minimizer is known), and the
     norm at every ``observable_stride`` steps; full states at
     ``snapshot_times`` and at T.
@@ -468,23 +548,55 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
                     stride=observable_stride, mesh=mesh)
 
-    kin_axis = _axis_kinetic_eigenvalues(mesh.nodes_per_edge)
+    n, last = mesh.nodes_per_edge, mesh.dim - 1
+    kin_axis = _axis_kinetic_eigenvalues(n)
     axis_shapes = _axis_shapes(mesh.dim)
+    inner_axes = range(last, 0, -1)
     psi = (psi0.amplitudes if psi0 is not None
            else uniform_state(mesh).amplitudes).reshape(mesh.shape).copy()
     angle = np.empty(mesh.shape)
     phase = np.empty(mesh.shape, dtype=complex)
+    k = _slab_count(mesh)
+    cuts = [n * i // k for i in range(k + 1)]
+    # views made once: a row slab of each array, and a column slab of the
+    # state with its range of the last axis
+    rows = [(psi[a:b], fvals[a:b], angle[a:b], phase[a:b])
+            for a, b in zip(cuts, cuts[1:])]
+    cols = [(psi[..., a:b], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+    def potential_then_inner_ffts(row, coeff):
+        part, f_part, a_part, p_part = row
+        np.multiply(coeff, f_part, out=a_part)
+        np.cos(a_part, out=p_part.real)
+        np.sin(a_part, out=p_part.imag)
+        part *= p_part
+        for ax in inner_axes:
+            np.fft.fft(part, axis=ax, out=part)
+
+    def first_fft_then_kinetic(col, kin_phase):
+        part, span = col
+        np.fft.fft(part, axis=0, out=part)
+        for ax, shape in enumerate(axis_shapes):
+            part *= (kin_phase[span] if ax == last
+                     else kin_phase).reshape(shape)
+
+    def inner_iffts(row):
+        part = row[0]
+        for ax in inner_axes:
+            np.fft.ifft(part, axis=ax, out=part)
+
+    def first_ifft(col):
+        part = col[0]
+        np.fft.ifft(part, axis=0, out=part)
+
     for j in range(rec.n_steps):
         te = t0 + (j + 1) * dt
-        np.multiply(-dt * sched.potential_coeff(te), fvals, out=angle)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        psi *= phase
-        np.fft.fftn(psi, out=psi)
-        kin_phase = np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis)
-        for shape in axis_shapes:
-            psi *= kin_phase.reshape(shape)
-        np.fft.ifftn(psi, out=psi)
+        _on_slabs(potential_then_inner_ffts, rows,
+                  -dt * sched.potential_coeff(te))
+        _on_slabs(first_fft_then_kinetic, cols,
+                  np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis))
+        _on_slabs(inner_iffts, rows)
+        _on_slabs(first_ifft, cols)
         rec.record(j + 1, psi)
     return rec.finish(psi)
 

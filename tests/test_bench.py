@@ -71,6 +71,27 @@ def test_bruteforce_cap():
         qk.grid_bruteforce_min(qp, 10)
 
 
+def test_oracle_grid_cap_shared_by_both_oracles(monkeypatch):
+    # without a cap, dim 12 at r = 8 would build a 9^12 = 2.8e11-node grid
+    def no_grid(self):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(qk.Mesh, "node_coords", no_grid)
+    qp12 = qk.generate_qp(12, 3, seed=0)
+    for oracle in (qk.grid_bruteforce_min, multistart_refine):
+        with pytest.raises(ResourceError, match="exceeds the cap"):
+            oracle(qp12, 8)
+    monkeypatch.undo()
+
+    # the cap is inclusive: 9^2 nodes pass at a cap of 81, 10^2 do not
+    monkeypatch.setattr(qk.bench, "ORACLE_GRID_CAP", 81)
+    qp2 = qk.generate_qp(2, 2, seed=3)
+    for oracle in (qk.grid_bruteforce_min, multistart_refine):
+        oracle(qp2, 8)
+        with pytest.raises(ResourceError):
+            oracle(qp2, 9)
+
+
 def test_bruteforce_matches_multistart_refinement():
     qp = qk.generate_qp(2, 2, seed=3)
     _, f_grid = qk.grid_bruteforce_min(qp, 32)
@@ -343,6 +364,22 @@ def test_run_experiment_rejects_bad_config_before_any_instance(
         **{"dim": 2, "sparsity": 2, "n_instances": 2, "trials": 10,
            "solvers": [{"name": "exact_oracle"}], **fields})
     with pytest.raises(ValueError, match=why):
+        qk.run_experiment(config, tmp_path)
+    assert not (tmp_path / "tts_summary.csv").exists()
+
+
+def test_run_experiment_rejects_oversized_truth_grid_before_any_instance(
+        tmp_path, monkeypatch):
+    # (8 + 1)^12 nodes exceed ORACLE_GRID_CAP; the truth grid used to be
+    # built per instance, outside the per-solver try
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(qk.bench, "generate_qp", never)
+    config = qk.ExperimentConfig(dim=12, sparsity=3, n_instances=2,
+                                 trials=10, truth_resolution=8,
+                                 solvers=[{"name": "exact_oracle"}])
+    with pytest.raises(ResourceError, match="exceeds the cap"):
         qk.run_experiment(config, tmp_path)
     assert not (tmp_path / "tts_summary.csv").exists()
 

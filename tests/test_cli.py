@@ -132,6 +132,34 @@ def test_anneal_sim_smoke(tmp_path):
     assert out_csv.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("shots", ["0", "-1"])
+def test_anneal_sim_rejects_bad_shots_before_the_evolution(shots, tmp_path,
+                                                           monkeypatch):
+    # -1 used to die in numpy's rng.choice after the whole evolution, and 0
+    # wrote a header-only CSV
+    main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
+          "--seed", "1", "--out", str(tmp_path)])
+    model_path = tmp_path / "m.txt"
+    main(["encode", "--qp", str(next(tmp_path.glob("*.json"))),
+          "--encoding", "hamming", "--resolution", "3", "--format", "qubo",
+          "--out", str(model_path)])
+
+    def never(t):
+        raise AssertionError("the machine was evolved")
+
+    env = qk.ising.AnnealEnvelope(time_dilation=1.0, t_f=2.0, a_over_h=never,
+                                  b_over_h=never)
+    monkeypatch.setattr(qk.ising, "schedule_envelope", lambda *a: env)
+    monkeypatch.setattr(qk.ising, "anneal_rescale", lambda *a: env)
+    out_csv = tmp_path / "samples.csv"
+    for extra in ([], ["--physical"]):
+        with pytest.raises(ValueError, match="--shots must be >= 1"):
+            main(["anneal-sim", "--model", str(model_path), "--tf", "2.0",
+                  "--dt", "0.01", "--shots", shots, "--out", str(out_csv),
+                  *extra])
+    assert not out_csv.exists()
+
+
 def test_spectrum_command(tmp_path):
     main(["spectrum", "--objective", "levy", "--resolution", "24",
           "--times", "0.5,1.0", "--levels", "4", "--dt", "0.01",

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import qhdkit as qk
+from qhdkit import dynamics
 from qhdkit.dynamics import Radix2Problem, kinetic_eigenvalues
 from qhdkit.errors import (EvaluationError, ResourceError,
                            ScheduleValidationError, StabilityError,
@@ -273,6 +278,133 @@ def test_qhd_evolve_leaves_psi0_and_snapshots_alone():
     assert not np.allclose(amps[0], amps[1])
     assert not any(np.shares_memory(a, b) for i, a in enumerate(amps)
                    for b in amps[i + 1:])
+
+
+def _fftn_split_steps(mesh, fvals, sched, t0, n_steps, dt, psi):
+    """States after each step of the whole-grid in-place loop: cos/sin
+    potential phase as the second operand, fftn, the per-axis kinetic
+    phases from axis 0 on, ifftn; the slab stages must keep its bits."""
+    fvals = fvals.reshape(mesh.shape)
+    psi = psi.reshape(mesh.shape).copy()
+    kin_axis = np.fft.fftfreq(mesh.nodes_per_edge, d=1.0 / mesh.nodes_per_edge)
+    kin_axis = 0.5 * (2.0 * np.pi * kin_axis) ** 2
+    angle = np.empty(mesh.shape)
+    phase = np.empty(mesh.shape, dtype=complex)
+    states = []
+    for j in range(n_steps):
+        te = t0 + (j + 1) * dt
+        np.multiply(-dt * sched.potential_coeff(te), fvals, out=angle)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        psi *= phase
+        np.fft.fftn(psi, out=psi)
+        kin_phase = np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis)
+        for ax in range(mesh.dim):
+            psi *= kin_phase.reshape([-1 if a == ax else 1
+                                      for a in range(mesh.dim)])
+        np.fft.ifftn(psi, out=psi)
+        states.append(psi.reshape(-1).copy())
+    return states
+
+
+@pytest.mark.parametrize("dim, n", [(2, 22), (3, 10)])
+def test_qhd_slab_path_matches_one_slab_bitwise(dim, n, monkeypatch):
+    mesh = qk.Mesh(dim, n, qk.PERIODIC)
+    x_star = np.full(dim, 0.3)
+    f = Objective(dim=dim, minimizer=x_star, eval_fn=lambda x: 40.0 * np.sum(
+        (np.atleast_2d(x) - 0.3) ** 2, axis=1) + np.cos(9.0 * x[:, 0]))
+    sched = qk.make_schedule("nesterov_three_param")
+    psi0 = _random_state(mesh, seed=dim)
+    before = psi0.amplitudes.copy()
+
+    def run():
+        return qk.qhd_evolve(mesh, f, sched, 0.8, 1e-2, psi0,
+                             snapshot_times=[0.6, 0.7], t0=0.5,
+                             success_radius=0.2, observable_stride=3)
+
+    assert dynamics._slab_count(mesh) == 1
+    one = run()
+    ref = _fftn_split_steps(mesh, qk.discretize_objective(mesh, f).values,
+                            sched, 0.5, 30, 1e-2, before)
+    for snap, s in zip(one.snapshots, (10, 20, 30)):
+        want = ref[s - 1] / np.sqrt(np.sum(np.abs(ref[s - 1]) ** 2))
+        assert np.array_equal(snap.amplitudes, want)
+    # four uneven slabs (22 rows: 5, 6, 5, 6; 10 rows: 2, 3, 2, 3) on a
+    # fresh pool of three workers, more threads than this host may have,
+    # switching threads as often as the interpreter allows
+    monkeypatch.setattr(dynamics, "SLAB_NODES", 1)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(dynamics, "_POOL", None)
+    assert dynamics._slab_count(mesh) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sliced = run()
+    finally:
+        sys.setswitchinterval(interval)
+        dynamics._POOL.shutdown()
+    assert np.array_equal(psi0.amplitudes, before)
+    assert np.array_equal(sliced.snapshot_times, one.snapshot_times)
+    assert len(sliced.snapshots) == len(one.snapshots) == 3
+    for a, b in zip(sliced.snapshots, one.snapshots):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(sliced.times, one.times)
+    for key in ("Ef", "success_prob", "norm"):
+        assert np.array_equal(sliced.observables[key], one.observables[key])
+
+
+def test_qhd_small_and_1d_grids_never_reach_the_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("the thread pool was asked for")
+
+    monkeypatch.setattr(dynamics, "_slab_pool", no_pool)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
+    # the slab rule: min(usable CPUs, nodes // 2^17), at least 1, on d >= 2
+    assert dynamics.SLAB_NODES == 2 ** 17
+    for dim, n, slabs in [(2, 362, 1), (2, 363, 1), (2, 512, 2),
+                          (2, 1024, 4), (3, 64, 2), (1, 2 ** 20, 1)]:
+        assert dynamics._slab_count(qk.Mesh(dim, n, qk.PERIODIC)) == slabs
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    assert dynamics._slab_count(qk.Mesh(2, 1024, qk.PERIODIC)) == 1
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
+
+    sched = qk.make_schedule("nesterov_nonconvex", stepsize=1e-3)
+    # 362^2 = 131 044 nodes, just below 2^17, and a 2^18-node line
+    for mesh in (qk.Mesh(2, 362, qk.PERIODIC), qk.Mesh(1, 2 ** 18,
+                                                          qk.PERIODIC)):
+        f = Objective(dim=mesh.dim, eval_fn=lambda x: np.sum(
+            (np.atleast_2d(x) - 0.5) ** 2, axis=1))
+        traj = qk.qhd_evolve(mesh, f, sched, 1.02, 1e-2, t0=1.0)
+        assert abs(traj.observables["norm"][-1] - 1.0) < 1e-12
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"),
+                    reason="needs os.fork")
+def test_qhd_slab_pool_is_remade_in_a_forked_child(monkeypatch):
+    # a forked child has none of the parent's pool threads; the pool object
+    # carried over would take the child's slabs and never run them
+    monkeypatch.setattr(dynamics, "SLAB_NODES", 1)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    mesh = qk.Mesh(2, 16, qk.PERIODIC)
+    f, sched = qk.get_objective("levy"), qk.make_schedule("nesterov_nonconvex")
+
+    def run():
+        qk.qhd_evolve(mesh, f, sched, 1.05, 1e-2, t0=1.0)
+
+    run()
+    assert dynamics._POOL is not None
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on any fork of a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = multiprocessing.get_context("fork").Process(target=run)
+        child.start()
+    child.join(60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(10)
+    assert not hung
+    assert child.exitcode == 0
 
 
 def _run_engine(engine, T, dt, **kw):
