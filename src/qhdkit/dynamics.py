@@ -29,7 +29,11 @@ Conventions pinned for reproducibility across modules:
   kinetic step is a Kronecker product of one (r+1)x(r+1) unitary per axis,
   applied as one GEMM per block of axes (the "shuffle" algorithm for
   Kronecker products); at r = 1, the Ising machine and the adiabatic
-  baseline, 12 qubits take three 16x16 GEMMs per step.
+  baseline, 12 qubits take three 16x16 GEMMs per step. Its half potential
+  phase is cos/sin taken once per distinct potential value and gathered
+  onto the grid, and the kinetic unitaries of ``STRANG_CHUNK`` steps are
+  built together as stacked arrays. Both do the per-step arithmetic on the
+  same operands, so the states keep the bits of a step-by-step loop.
 """
 
 from __future__ import annotations
@@ -373,6 +377,8 @@ def binomial_state(r: int, d: int) -> WaveFunction:
 
 #: the largest dimension (r+1)^g of a block unitary in the Strang kinetic step
 STRANG_BLOCK_CAP = 16
+#: steps whose kinetic unitaries the Strang loop builds together
+STRANG_CHUNK = 64
 
 
 def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
@@ -381,8 +387,15 @@ def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
     ``relaxed_adjacency(r, 1)`` along every axis, with midpoint coefficients
     on the step grid of ``rec``; records each step and returns the state.
 
-    The half potential phase is cos/sin of its angle written into a buffer
-    made once per call. The kinetic step applies the per-axis unitary U to
+    The half potential phase is cos/sin of its angle, taken once per
+    distinct value of ``fvals`` (a Hamming-encoded machine has at most
+    (r+1)^d of them among its 2^n states) and gathered into a buffer made
+    once per call. The kinetic coefficient is sampled for ``STRANG_CHUNK``
+    steps at a time, never past the last midpoint, and those steps' unitaries,
+    their polish and Kronecker powers are built as stacked (chunk, m, m)
+    arrays that each step indexes. Every element sees the operations of a
+    step-by-step loop on the same operands, so states and observables are
+    bit-identical to it. The kinetic step applies the per-axis unitary U to
     blocks of g axes at a time, g the largest value with (r+1)^g <=
     ``STRANG_BLOCK_CAP`` and g <= d (at least 1), the last block holding
     the remainder: one GEMM per block with W = U^{(x)g}, built by
@@ -398,30 +411,42 @@ def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
     lam, vecs = np.linalg.eigh(relaxed_adjacency(r, 1).toarray())
     t0, dt = rec.t0, rec.dt
     psi = binomial_state(r, d).amplitudes.reshape(fvals.shape)
-    angle = np.empty(fvals.shape)
+    levels, where = np.unique(fvals, return_inverse=True)
+    where = where.reshape(fvals.shape)
+    level_angle = np.empty(levels.shape)
+    level_phase = np.empty(levels.shape, dtype=complex)
     half_pot = np.empty(fvals.shape, dtype=complex)
-    for j in range(rec.n_steps):
-        tm = t0 + (j + 0.5) * dt
-        np.multiply(-0.5 * dt * pot(tm), fvals, out=angle)
-        np.cos(angle, out=half_pot.real)
-        np.sin(angle, out=half_pot.imag)
-        kin_u = (vecs * np.exp(1j * dt * kin(tm) * lam)) @ vecs.T
+    for j0 in range(0, rec.n_steps, STRANG_CHUNK):
+        tms = [t0 + (j + 0.5) * dt
+               for j in range(j0, min(j0 + STRANG_CHUNK, rec.n_steps))]
+        coeff = np.array([1j * dt * kin(tm) for tm in tms])
+        kin_u = (vecs * np.exp(coeff[:, None] * lam)[:, None, :]) @ vecs.T
         # eigh's vecs are orthogonal only to an ulp, the same way every
         # step, which drifts the norm; a Newton-Schulz polar step stops that
-        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (kin_u.conj().T @ kin_u)
-        powers = [kin_u]            # powers[s - 1] = kin_u^{(x)s}
+        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (
+            kin_u.conj().transpose(0, 2, 1) @ kin_u)
+        powers = [kin_u]            # powers[s - 1][i] = kin_u[i]^{(x)s}
         for _ in range(g - 1):
             w = powers[-1]
-            powers.append((w[:, None, :, None] * kin_u[None, :, None, :])
-                          .reshape(w.shape[0] * n, -1))
-        # phase first: numpy's complex product is not bitwise symmetric in
-        # its operands, and this order keeps the earlier loop's bits at g = 1
-        np.multiply(half_pot, psi, out=psi)
-        for s in blocks:
-            psi = psi.reshape(n ** s, -1).T @ powers[s - 1].T
-        psi = psi.reshape(fvals.shape)
-        np.multiply(half_pot, psi, out=psi)
-        rec.record(j + 1, psi)
+            powers.append((w[:, :, None, :, None]
+                           * kin_u[:, None, :, None, :])
+                          .reshape(len(tms), w.shape[1] * n, -1))
+        for i, tm in enumerate(tms):
+            np.multiply(-0.5 * dt * pot(tm), levels, out=level_angle)
+            np.cos(level_angle, out=level_phase.real)
+            np.sin(level_angle, out=level_phase.imag)
+            # every index is in range; the default mode="raise" would copy
+            # the output through a buffer
+            np.take(level_phase, where, out=half_pot, mode="clip")
+            # phase first: numpy's complex product is not bitwise symmetric
+            # in its operands, and this order keeps the earlier loop's bits
+            # at g = 1
+            np.multiply(half_pot, psi, out=psi)
+            for s in blocks:
+                psi = psi.reshape(n ** s, -1).T @ powers[s - 1][i].T
+            psi = psi.reshape(fvals.shape)
+            np.multiply(half_pot, psi, out=psi)
+            rec.record(j0 + i + 1, psi)
     return psi
 
 

@@ -24,7 +24,7 @@ from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
                        _step_count, _strang_evolve, binomial_state,
                        relaxed_adjacency)
 from .errors import DomainError, ResourceError, StabilityError
-from .mesh import DIRICHLET, Mesh, success_mask
+from .mesh import DIRICHLET, Mesh, _is_integer, success_mask
 from .objectives import QpInstance, qp_objective
 
 #: dense 2^n feasibility cap for oracle-side constructions
@@ -32,6 +32,13 @@ DENSE_QUBITS_CAP = 14
 
 #: grid-size cap for the relaxed reference evolution
 RELAXED_GRID_CAP = 100_000
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    >= 1 (bools are not)."""
+    if not (_is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,9 @@ class PrecisionLayout:
     The precision entries sum to 1, which keeps every decodable value inside
     the unit box. The Hamming layout uses the uniform vector (value = block
     Hamming weight / bits); the radix-2 layout uses the sum-to-one binary
-    weights (2^-(b-1), 2^-(b-1), 2^-(b-2), ..., 1/2).
+    weights (2^-(b-1), 2^-(b-1), 2^-(b-2), ..., 1/2). A ``dim``,
+    ``bits_per_var``, Hamming ``r`` or radix-2 ``bits`` that is not an
+    integer >= 1 (bools are not) raises ``ValueError`` naming it.
     """
 
     dim: int
@@ -103,6 +112,8 @@ class PrecisionLayout:
     encoding: str
 
     def __post_init__(self):
+        _require_count("dim", self.dim)
+        _require_count("bits_per_var", self.bits_per_var)
         p = np.asarray(self.precision, dtype=float).reshape(-1)
         if p.size != self.bits_per_var:
             raise ValueError("precision vector has wrong length")
@@ -118,10 +129,12 @@ class PrecisionLayout:
 
     @staticmethod
     def hamming(dim: int, r: int) -> "PrecisionLayout":
+        _require_count("r", r)
         return PrecisionLayout(dim, r, np.full(r, 1.0 / r), "hamming")
 
     @staticmethod
     def radix2(dim: int, bits: int) -> "PrecisionLayout":
+        _require_count("bits", bits)
         if bits == 1:
             p = np.array([1.0])
         else:
@@ -165,9 +178,11 @@ def bit_table(n: int) -> np.ndarray:
 
 
 def block_weights(n: int, dim: int) -> np.ndarray:
-    """(2^n, dim) Hamming weights of each variable's qubit block."""
-    if dim < 1 or n % dim:
-        raise ValueError(f"{n} qubits do not split into {dim} variable blocks")
+    """(2^n, dim) Hamming weights of each variable's qubit block; a
+    ``dim`` that is not an integer >= 1 dividing n raises ``ValueError``."""
+    if not (_is_integer(dim) and dim >= 1) or n % dim:
+        raise ValueError(f"dim must be an integer >= 1 dividing n: {n} "
+                         f"qubits do not split into {dim!r} variable blocks")
     b = n // dim
     bits = bit_table(n)
     return np.stack([bits[:, p * b:(p + 1) * b].sum(axis=1)
@@ -180,7 +195,10 @@ def block_weights(n: int, dim: int) -> np.ndarray:
 
 def hamming_isometry(r: int, d: int) -> np.ndarray:
     """Column-orthonormal map from grid basis |j_1...j_d> to the tensor
-    product of Hamming states over d blocks of r qubits (dense, dr <= 14)."""
+    product of Hamming states over d blocks of r qubits (dense, dr <= 14);
+    an r or d that is not an integer >= 1 raises ``ValueError``."""
+    _require_count("r", r)
+    _require_count("d", d)
     n = d * r
     if n > DENSE_QUBITS_CAP:
         raise ResourceError(
@@ -206,9 +224,10 @@ def hamming_encode_qp(qp: QpInstance, r: int) -> IsingModel:
         J_{j,k} = Q_{p,q} / (4 r^2)
         offset = (1/8)(1 + 1/r) sum_p Q_{p,p}
                  + (1/4) sum_{p>q} Q_{p,q} + (1/2) sum_p b_p.
+
+    An ``r`` that is not an integer >= 1 raises ``ValueError``.
     """
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
+    _require_count("r", r)
     d = qp.dim
     Q = qp.Q.toarray()
     n = d * r

@@ -109,6 +109,21 @@ def test_qp_gen_and_encode_roundtrip(tmp_path):
     assert imodel.n == 9
 
 
+@pytest.mark.parametrize("encoding, flag, field", [
+    ("hamming", "--resolution", "r"), ("radix2", "--bits", "bits")])
+def test_encode_rejects_zero_bits_per_variable(encoding, flag, field,
+                                               tmp_path):
+    # --resolution 0 used to die with a ZeroDivisionError traceback
+    main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
+          "--seed", "1", "--out", str(tmp_path)])
+    out = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        main(["encode", "--qp", str(next(tmp_path.glob("*.json"))),
+              "--encoding", encoding, flag, "0", "--format", "qubo",
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_anneal_sim_smoke(tmp_path):
     main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
           "--seed", "1", "--out", str(tmp_path)])

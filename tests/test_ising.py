@@ -167,6 +167,34 @@ def test_precision_layouts():
         qk.PrecisionLayout(1, 2, np.array([0.3, 0.3]), "hamming")
 
 
+# each of these used to fail late or not at all: a ZeroDivisionError, numpy's
+# "negative dimensions", a wrong-length precision vector, a 1-bit or a
+# 0-variable layout, a TypeError, one variable block counted for True, a
+# 1x1 isometry for r = 0
+@pytest.mark.parametrize("build, field", [
+    (lambda: qk.PrecisionLayout.hamming(3, 0), "r"),
+    (lambda: qk.PrecisionLayout.hamming(3, -1), "r"),
+    (lambda: qk.PrecisionLayout.hamming(0, 4), "dim"),
+    (lambda: qk.PrecisionLayout.hamming(3, 2.0), "r"),
+    (lambda: qk.PrecisionLayout.radix2(3, 0), "bits"),
+    (lambda: qk.PrecisionLayout.radix2(3, True), "bits"),
+    (lambda: qk.PrecisionLayout.radix2(-1, 4), "dim"),
+    (lambda: qk.PrecisionLayout(2, True, np.array([1.0]), "hamming"),
+     "bits_per_var"),
+    (lambda: qk.PrecisionLayout(False, 1, np.array([1.0]), "radix2"), "dim"),
+    (lambda: qk.hamming_encode_qp(random_qp(2, 3), 2.5), "r"),
+    (lambda: qk.hamming_encode_qp(random_qp(2, 3), 0), "r"),
+    (lambda: block_weights(12, True), "dim"),
+    (lambda: block_weights(12, 0), "dim"),
+    (lambda: qk.hamming_isometry(0, 3), "r"),
+    (lambda: qk.hamming_isometry(2.5, 2), "r"),
+    (lambda: qk.hamming_isometry(2, True), "d"),
+])
+def test_encoding_rejects_bad_sizes_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+        build()
+
+
 def test_qp_to_qubo_linear_only():
     qp = QpInstance(1, sp.csr_matrix((1, 1)), np.array([1.0]))
     qubo = qk.qp_to_qubo(qp, qk.PrecisionLayout.hamming(1, 2))
@@ -499,6 +527,92 @@ def test_strang_blocks_match_per_axis_contraction(r, d):
     assert np.max(np.abs(got - psi)) < 1e-12
     if (r + 1) ** 2 > STRANG_BLOCK_CAP:     # g = 1: the same bits
         assert np.array_equal(got, psi)
+
+
+def _per_step_strang(fvals, r, kin, pot, rec):
+    # the loop before it phased each level once and built its kinetic
+    # unitaries per chunk of steps, kept here as its bit-for-bit reference
+    n, d = r + 1, fvals.ndim
+    g = 1
+    while g < d and n ** (g + 1) <= STRANG_BLOCK_CAP:
+        g += 1
+    blocks = [g] * (d // g) + ([d % g] if d % g else [])
+    lam, vecs = np.linalg.eigh(qk.relaxed_adjacency(r, 1).toarray())
+    t0, dt = rec.t0, rec.dt
+    psi = binomial_state(r, d).amplitudes.reshape(fvals.shape)
+    angle = np.empty(fvals.shape)
+    half_pot = np.empty(fvals.shape, dtype=complex)
+    for j in range(rec.n_steps):
+        tm = t0 + (j + 0.5) * dt
+        np.multiply(-0.5 * dt * pot(tm), fvals, out=angle)
+        np.cos(angle, out=half_pot.real)
+        np.sin(angle, out=half_pot.imag)
+        kin_u = (vecs * np.exp(1j * dt * kin(tm) * lam)) @ vecs.T
+        kin_u = 1.5 * kin_u - 0.5 * kin_u @ (kin_u.conj().T @ kin_u)
+        powers = [kin_u]
+        for _ in range(g - 1):
+            w = powers[-1]
+            powers.append((w[:, None, :, None] * kin_u[None, :, None, :])
+                          .reshape(w.shape[0] * n, -1))
+        np.multiply(half_pot, psi, out=psi)
+        for s in blocks:
+            psi = psi.reshape(n ** s, -1).T @ powers[s - 1].T
+        psi = psi.reshape(fvals.shape)
+        np.multiply(half_pot, psi, out=psi)
+        rec.record(j + 1, psi)
+    return psi
+
+
+def _strang_run(loop, fvals, r, kin, pot, steps, t0=0.25, dt=1e-3):
+    smask = fvals <= np.median(fvals)
+    rec = _Recorder(t0, t0 + steps * dt, dt, fvals, smask, stride=7)
+    psi = loop(fvals, r, kin, pot, rec)
+    return psi, rec.finish(psi)
+
+
+# ragged last blocks at r = 1 (g = 4), r = 2 and r = 3 (g = 2); g = 1 above;
+# 64 is a whole chunk of steps, 1, 63, 65 and 130 are not
+@pytest.mark.parametrize("r, d", [(1, 5), (1, 7), (1, 12), (2, 3), (3, 3),
+                                  (4, 3), (5, 2)])
+@pytest.mark.parametrize("levels", ["degenerate", "distinct"])
+def test_strang_loop_keeps_the_per_step_bits(r, d, levels):
+    fvals = np.random.default_rng(10 * r + d).uniform(-1, 1, (r + 1,) * d)
+    if levels == "degenerate":
+        fvals = np.round(fvals, 1)
+        assert np.unique(fvals).size < fvals.size
+    else:
+        assert np.unique(fvals).size == fvals.size
+    kin, pot = (lambda t: 2.0 + np.sin(t)), (lambda t: 1.0 + 3.0 * t)
+    for steps in (1, 63, 64, 65, 130):
+        got, got_traj = _strang_run(_strang_evolve, fvals, r, kin, pot, steps)
+        want, want_traj = _strang_run(_per_step_strang, fvals, r, kin, pot,
+                                      steps)
+        assert np.array_equal(got, want), steps
+        assert np.array_equal(got_traj.times, want_traj.times)
+        for name, trace in want_traj.observables.items():
+            assert np.array_equal(got_traj.observables[name], trace,
+                                  equal_nan=True), (steps, name)
+
+
+def test_strang_loop_samples_no_coefficient_past_the_last_midpoint():
+    # 65 steps end one step into the second chunk; a chunk built whole
+    # would ask for the coefficients at 63 midpoints beyond T
+    t0, dt, steps = 0.25, 1e-3, 65
+    T = t0 + steps * dt
+
+    def inside(fn):
+        def coeff(t):
+            if not t0 < t < T:
+                raise AssertionError(f"coefficient sampled at t={t}")
+            return fn(t)
+        return coeff
+
+    kin, pot = (lambda t: 2.0 + np.sin(t)), (lambda t: 1.0 + 3.0 * t)
+    fvals = np.round(np.random.default_rng(7).uniform(-1, 1, (2,) * 6), 1)
+    got, _ = _strang_run(_strang_evolve, fvals, 1, inside(kin), inside(pot),
+                         steps)
+    want, _ = _strang_run(_per_step_strang, fvals, 1, kin, pot, steps)
+    assert np.array_equal(got, want)
 
 
 def test_strang_loop_keeps_the_norm_over_many_steps():
