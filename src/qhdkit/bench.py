@@ -17,7 +17,8 @@ from .classical import nagd_run, sgd_run
 from .dynamics import _step_count, make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
-from .mesh import DIRICHLET, Mesh, _is_integer, sample_positions
+from .mesh import (DIRICHLET, Mesh, _is_integer, _require_count,
+                   sample_positions)
 from .objectives import QpInstance, qp_eval_grad, qp_objective
 
 #: two objective values count as the same solution within this gap
@@ -148,9 +149,7 @@ def local_refine(qp: QpInstance, x0, tol: float = 1e-8,
     if x0.ndim not in (1, 2):
         raise ValueError(f"starts must be (d,) or (n, d), got shape "
                          f"{x0.shape}")
-    if not (_is_integer(max_iter) and max_iter >= 0):
-        raise ValueError(f"max_iter must be an integer >= 0, got "
-                         f"{max_iter!r}")
+    _require_count("max_iter", max_iter, 0)
     if not (_is_finite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     x = np.clip(np.atleast_2d(x0), 0.0, 1.0)
@@ -185,9 +184,7 @@ def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     from the ``n_starts`` best grid points; ties go to the better-ranked
     start. More than ``ORACLE_GRID_CAP`` grid nodes raise
     ``ResourceError``."""
-    if not (_is_integer(n_starts) and n_starts >= 1):
-        raise ValueError(f"n_starts must be an integer >= 1, got "
-                         f"{n_starts!r}")
+    _require_count("n_starts", n_starts)
     pts = _oracle_grid(qp.dim, r).node_coords()
     vals = qp_objective(qp)(pts)
     order = np.argsort(vals, kind="stable")[:n_starts]

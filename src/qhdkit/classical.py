@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .mesh import _is_integer, within_radius
+from .mesh import _require_count, within_radius
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ def _start(x0, s, steps):
     iterate array with it in row 0, and whether it was one ``(d,)`` point."""
     if not s > 0:
         raise ValueError("stepsize must be positive")
-    if not (_is_integer(steps) and steps >= 0):
-        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    _require_count("steps", steps, 0)
     x = np.array(x0, dtype=float, ndmin=2)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("x0 must be one (d,) point or a (runs, d) batch "

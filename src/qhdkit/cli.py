@@ -40,18 +40,25 @@ def _parse_snapshots(text):
     return [float(t) for t in text.split(",")] if text else []
 
 
+def _write_observables(out, traj):
+    """Write ``observables.csv`` of ``traj`` into the directory ``out``,
+    made if missing, and return that directory as a path."""
+    out = pathlib.Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    obs = traj.observables
+    _csv_write(out / "observables.csv", "t,Ef,success_prob,norm",
+               zip(traj.times.tolist(), obs["Ef"].tolist(),
+                   obs["success_prob"].tolist(), obs["norm"].tolist()))
+    return out
+
+
 def cmd_simulate_qhd(args):
     f = objectives.get_objective(args.objective)
     grid = mesh.Mesh(f.dim, args.resolution, mesh.PERIODIC)
     sched = _SCHEDULES[args.schedule](args.stepsize, args.T)
     traj = dynamics.qhd_evolve(grid, f, sched, args.T, args.dt,
                                snapshot_times=_parse_snapshots(args.snapshots))
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    obs = traj.observables
-    _csv_write(out / "observables.csv", "t,Ef,success_prob,norm",
-               zip(traj.times.tolist(), obs["Ef"].tolist(),
-                   obs["success_prob"].tolist(), obs["norm"].tolist()))
+    out = _write_observables(args.out, traj)
     for t, state in zip(traj.snapshot_times, traj.snapshots):
         (out / f"snapshot_{t:g}.json").write_text(state.to_json())
     print(f"wrote {out / 'observables.csv'}")
@@ -63,12 +70,7 @@ def cmd_simulate_qaa(args):
     sched = _SCHEDULES[args.schedule](1e-3, args.T)
     traj = dynamics.qaa_evolve(problem.diag, sched, args.T, args.dt,
                                points=problem.points, x_star=f.minimizer)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    obs = traj.observables
-    _csv_write(out / "observables.csv", "t,Ef,success_prob,norm",
-               zip(traj.times.tolist(), obs["Ef"].tolist(),
-                   obs["success_prob"].tolist(), obs["norm"].tolist()))
+    out = _write_observables(args.out, traj)
     print(f"wrote {out / 'observables.csv'}")
 
 

@@ -23,8 +23,9 @@ Conventions pinned for reproducibility across modules:
   then the inverse FFTs in the same two groups. That is ``fftn``'s axis
   order, so the results are bit-identical whatever the slab count. Grids
   of d >= 2 axes are cut into min(usable CPUs, nodes // 2^17) slabs (at
-  least one), run by this thread and a module-level thread pool; grids
-  below 2^18 nodes and 1-D grids run one slab on this thread.
+  least one), run by this thread and a thread pool that each call makes
+  and shuts down before it returns; grids below 2^18 nodes and 1-D grids
+  run one slab on this thread without a pool.
 * A Strang step samples the coefficients at the midpoint t_j + dt/2. Its
   kinetic step is a Kronecker product of one (r+1)x(r+1) unitary per axis,
   applied as one GEMM per block of axes (the "shuffle" algorithm for
@@ -41,7 +42,6 @@ from __future__ import annotations
 import inspect
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +50,8 @@ import scipy.sparse as sp
 from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _is_integer, discretize_objective, kron_sum, success_mask,
-                   uniform_state, within_radius)
+                   _require_count, discretize_objective, kron_sum,
+                   success_mask, uniform_state, within_radius)
 
 @dataclass(frozen=True)
 class Schedule:
@@ -284,9 +284,7 @@ class _Recorder:
 
     def __init__(self, t0, T, dt, fvals, smask=None, *, snapshot_times=(),
                  stride=1, mesh=None):
-        if not (_is_integer(stride) and stride >= 1):
-            raise ValueError("observable stride must be an integer >= 1, "
-                             f"got {stride!r}")
+        _require_count("observable stride", stride)
         self.t0, self.dt, self.stride = t0, dt, stride
         self.n_steps = _step_count(t0, T, dt)
         self.fvals, self.smask, self.mesh = fvals, smask, mesh
@@ -354,10 +352,11 @@ def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
     this is exactly the Hamming-subspace restriction of the transverse-field
     sum over r qubits scaled by 1/sqrt(r), so the subspace identities hold
     with zero defect (bit-flip symmetry forces the j <-> r-1-j symmetric
-    profile).
+    profile). An r or d that is not an integer >= 1 raises ``ValueError``
+    naming it.
     """
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
+    _require_count("r", r)
+    _require_count("d", d)
     j = np.arange(r, dtype=float)
     w = np.sqrt((j + 1.0) * (r - j) / r)
     return kron_sum(sp.diags([w, w], offsets=[1, -1], format="csr"), d)
@@ -365,7 +364,10 @@ def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
 
 def binomial_state(r: int, d: int) -> WaveFunction:
     """Per-axis amplitudes sqrt(C(r, j) / 2^r): the grid image of the
-    uniform superposition over d blocks of r qubits."""
+    uniform superposition over d blocks of r qubits. An r or d that is not
+    an integer >= 1 raises ``ValueError`` naming it."""
+    _require_count("r", r)
+    _require_count("d", d)
     mesh = Mesh(d, r, DIRICHLET)
     axis = np.sqrt(np.array([math.comb(r, j) for j in range(r + 1)])
                    / 2.0 ** r)
@@ -477,8 +479,6 @@ def kinetic_eigenvalues(mesh: Mesh) -> np.ndarray:
 #: grid nodes per split-step slab: a grid of d >= 2 axes gets one slab per
 #: SLAB_NODES nodes, up to one per usable CPU
 SLAB_NODES = 2 ** 17
-_POOL = None
-_POOL_LOCK = threading.Lock()
 
 
 def _usable_cpus() -> int:
@@ -494,41 +494,6 @@ def _slab_count(mesh: Mesh) -> int:
     if mesh.dim < 2:
         return 1
     return max(1, min(_usable_cpus(), mesh.size // SLAB_NODES))
-
-
-def _slab_pool():
-    """The worker threads that run every slab but the first, made (and their
-    module imported) on first need."""
-    global _POOL
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="qhdkit-slab")
-        return _POOL
-
-
-def _forget_pool():
-    """Drop the pool in a forked child: it has none of the parent's
-    threads, and a pool carried over would queue slabs that never run."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _on_slabs(stage, slabs, *args):
-    """Run ``stage(s, *args)`` for every slab s: the first on this thread,
-    the others on the pool, and return once all are done."""
-    pending = [_slab_pool().submit(stage, s, *args) for s in slabs[1:]]
-    try:
-        stage(slabs[0], *args)
-    finally:
-        for fut in pending:
-            fut.result()
 
 
 def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
@@ -555,9 +520,11 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     sees the same operations in the same order whatever the slab count,
     and the results do not depend on it. A grid of d >= 2 axes is cut into
     min(usable CPUs, nodes // ``SLAB_NODES``) slabs, at least one; this
-    thread runs the first and a module-level thread pool the others. A
-    second slab thus needs 2 * 2^17 nodes (512^2, 64^3); smaller grids, and
-    every 1-D grid, run one slab on this thread without the pool.
+    thread runs the first and a pool of one thread per further slab the
+    others. The pool is made by this call and shut down, its threads
+    joined, before it returns, even when it raises. A second slab thus
+    needs 2 * 2^17 nodes (512^2, 64^3); smaller grids, and every 1-D grid,
+    run one slab on this thread and make no pool.
 
     Records E[f], success probability (when a minimizer is known), and the
     norm at every ``observable_stride`` steps; full states at
@@ -614,15 +581,34 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
         part = col[0]
         np.fft.ifft(part, axis=0, out=part)
 
-    for j in range(rec.n_steps):
-        te = t0 + (j + 1) * dt
-        _on_slabs(potential_then_inner_ffts, rows,
-                  -dt * sched.potential_coeff(te))
-        _on_slabs(first_fft_then_kinetic, cols,
-                  np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis))
-        _on_slabs(inner_iffts, rows)
-        _on_slabs(first_ifft, cols)
-        rec.record(j + 1, psi)
+    pool = None
+    if k > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(k - 1, thread_name_prefix="qhdkit-slab")
+
+    def on_slabs(stage, slabs, *args):
+        """Run ``stage(s, *args)`` for every slab s: the first on this
+        thread, the others on the pool, and return once all are done."""
+        pending = [pool.submit(stage, s, *args) for s in slabs[1:]]
+        try:
+            stage(slabs[0], *args)
+        finally:
+            for fut in pending:
+                fut.result()
+
+    try:
+        for j in range(rec.n_steps):
+            te = t0 + (j + 1) * dt
+            on_slabs(potential_then_inner_ffts, rows,
+                     -dt * sched.potential_coeff(te))
+            on_slabs(first_fft_then_kinetic, cols,
+                     np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis))
+            on_slabs(inner_iffts, rows)
+            on_slabs(first_ifft, cols)
+            rec.record(j + 1, psi)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return rec.finish(psi)
 
 

@@ -24,7 +24,8 @@ from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
                        _step_count, _strang_evolve, binomial_state,
                        relaxed_adjacency)
 from .errors import DomainError, ResourceError, StabilityError
-from .mesh import DIRICHLET, Mesh, _is_integer, success_mask
+from .mesh import (DIRICHLET, Mesh, _is_integer, _require_count,
+                   success_mask)
 from .objectives import QpInstance, qp_objective
 
 #: dense 2^n feasibility cap for oracle-side constructions
@@ -32,13 +33,6 @@ DENSE_QUBITS_CAP = 14
 
 #: grid-size cap for the relaxed reference evolution
 RELAXED_GRID_CAP = 100_000
-
-
-def _require_count(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    >= 1 (bools are not)."""
-    if not (_is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,13 @@ def _is_integer(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _require_count(name: str, value, low: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    >= ``low`` (bools are not)."""
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Regular grid over [0, 1]^dim.
@@ -43,12 +50,8 @@ class Mesh:
     boundary: str
 
     def __post_init__(self):
-        if not (_is_integer(self.dim) and self.dim >= 1):
-            raise ValueError(
-                f"dimension must be an integer >= 1, got {self.dim!r}")
-        if not (_is_integer(self.cells_per_edge) and self.cells_per_edge >= 1):
-            raise ValueError("cells_per_edge must be an integer >= 1, "
-                             f"got {self.cells_per_edge!r}")
+        _require_count("dimension", self.dim)
+        _require_count("cells_per_edge", self.cells_per_edge)
         if self.boundary not in (DIRICHLET, PERIODIC):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
 

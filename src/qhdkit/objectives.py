@@ -49,14 +49,10 @@ class Objective:
         return g[0] if single else np.asarray(g, dtype=float)
 
 
-def rescale_to_unit_box(f: Objective) -> Objective:
-    """Map an objective on [a, b]^d to the unit box with its minimum at 0.
-
-    The rescaled function is g(u) = (f(a + L u) - f_min) / L with L = b - a.
-    Dividing the whole shifted expression by L makes the minimum exactly 0
-    while preserving gradient magnitudes (chain rule gives grad g = grad f);
-    curvature scales by L. The argmin maps affinely to (x* - a) / L.
-    """
+def _unit_box(f: Objective, per_length: bool) -> Objective:
+    """f on [a, b]^d moved to the unit box with its minimum at 0: values
+    f(a + L u) - f_min with L = b - a, divided by L when ``per_length``;
+    gradients, the argmin (x* - a) / L and the curvature follow."""
     if f.f_min is None:
         raise ValueError("rescaling requires a known minimum value")
     a, b = f.domain
@@ -66,18 +62,32 @@ def rescale_to_unit_box(f: Objective) -> Objective:
     f_min = f.f_min
 
     def ev(u):
-        return (f.eval_fn(a + L * np.asarray(u)) - f_min) / L
+        shifted = f.eval_fn(a + L * np.asarray(u)) - f_min
+        return shifted / L if per_length else shifted
 
     gr = None
     if f.grad_fn is not None:
         def gr(u):
-            return f.grad_fn(a + L * np.asarray(u))
+            g = f.grad_fn(a + L * np.asarray(u))
+            return g if per_length else L * g
 
     minimizer = None if f.minimizer is None else (np.asarray(f.minimizer) - a) / L
-    hess = None if f.hessian_at_min is None else L * np.asarray(f.hessian_at_min)
+    hess = None if f.hessian_at_min is None else (
+        (L if per_length else L ** 2) * np.asarray(f.hessian_at_min))
     return Objective(dim=f.dim, eval_fn=ev, grad_fn=gr, minimizer=minimizer,
                      f_min=0.0, hessian_at_min=hess, domain=(0.0, 1.0),
-                     name=f.name)
+                     name=f.name if per_length else f.name + "_box")
+
+
+def rescale_to_unit_box(f: Objective) -> Objective:
+    """Map an objective on [a, b]^d to the unit box with its minimum at 0.
+
+    The rescaled function is g(u) = (f(a + L u) - f_min) / L with L = b - a.
+    Dividing the whole shifted expression by L makes the minimum exactly 0
+    while preserving gradient magnitudes (chain rule gives grad g = grad f);
+    curvature scales by L. The argmin maps affinely to (x* - a) / L.
+    """
+    return _unit_box(f, per_length=True)
 
 
 def affine_to_unit_box(f: Objective) -> Objective:
@@ -89,28 +99,7 @@ def affine_to_unit_box(f: Objective) -> Objective:
     convention for spectral diagnostics and grid encodings, which sample
     values only (the QP pipeline never renormalizes values either).
     """
-    if f.f_min is None:
-        raise ValueError("rescaling requires a known minimum value")
-    a, b = f.domain
-    if a >= b:
-        raise ValueError(f"invalid domain [{a}, {b}]")
-    L = b - a
-    f_min = f.f_min
-
-    def ev(u):
-        return f.eval_fn(a + L * np.asarray(u)) - f_min
-
-    gr = None
-    if f.grad_fn is not None:
-        def gr(u):
-            return L * f.grad_fn(a + L * np.asarray(u))
-
-    minimizer = None if f.minimizer is None else (np.asarray(f.minimizer) - a) / L
-    hess = None if f.hessian_at_min is None else (
-        L ** 2 * np.asarray(f.hessian_at_min))
-    return Objective(dim=f.dim, eval_fn=ev, grad_fn=gr, minimizer=minimizer,
-                     f_min=0.0, hessian_at_min=hess, domain=(0.0, 1.0),
-                     name=f.name + "_box")
+    return _unit_box(f, per_length=False)
 
 
 def quadratic_model(f: Objective) -> Objective:

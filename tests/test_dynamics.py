@@ -1,7 +1,9 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -334,7 +336,6 @@ def test_qhd_slab_path_matches_one_slab_bitwise(dim, n, monkeypatch):
     # switching threads as often as the interpreter allows
     monkeypatch.setattr(dynamics, "SLAB_NODES", 1)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(dynamics, "_POOL", None)
     assert dynamics._slab_count(mesh) == 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -342,7 +343,6 @@ def test_qhd_slab_path_matches_one_slab_bitwise(dim, n, monkeypatch):
         sliced = run()
     finally:
         sys.setswitchinterval(interval)
-        dynamics._POOL.shutdown()
     assert np.array_equal(psi0.amplitudes, before)
     assert np.array_equal(sliced.snapshot_times, one.snapshot_times)
     assert len(sliced.snapshots) == len(one.snapshots) == 3
@@ -354,10 +354,10 @@ def test_qhd_slab_path_matches_one_slab_bitwise(dim, n, monkeypatch):
 
 
 def test_qhd_small_and_1d_grids_never_reach_the_pool(monkeypatch):
-    def no_pool():
-        raise AssertionError("the thread pool was asked for")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
 
-    monkeypatch.setattr(dynamics, "_slab_pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
     # the slab rule: min(usable CPUs, nodes // 2^17), at least 1, on d >= 2
     assert dynamics.SLAB_NODES == 2 ** 17
@@ -378,11 +378,36 @@ def test_qhd_small_and_1d_grids_never_reach_the_pool(monkeypatch):
         assert abs(traj.observables["norm"][-1] - 1.0) < 1e-12
 
 
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"),
-                    reason="needs os.fork")
+def test_qhd_slab_pool_threads_end_with_the_call(monkeypatch):
+    monkeypatch.setattr(dynamics, "SLAB_NODES", 1)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    mesh = qk.Mesh(2, 16, qk.PERIODIC)
+    f = qk.get_objective("levy")
+
+    def pool_threads():
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("qhdkit-slab")]
+
+    qk.qhd_evolve(mesh, f, qk.make_schedule("nesterov_nonconvex"), 1.05,
+                  1e-2, t0=1.0)
+    assert pool_threads() == []
+
+    def potential(t):
+        if t > 1.025:
+            raise RuntimeError("schedule failed")
+        return t
+
+    failing = qk.make_schedule("raw", kinetic=lambda t: 1.0,
+                               potential=potential)
+    with pytest.raises(RuntimeError, match="schedule failed"):
+        qk.qhd_evolve(mesh, f, failing, 1.05, 1e-2, t0=1.0)
+    assert pool_threads() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_qhd_slab_pool_is_remade_in_a_forked_child(monkeypatch):
-    # a forked child has none of the parent's pool threads; the pool object
-    # carried over would take the child's slabs and never run them
+    # a forked child has none of the parent's threads; its call must make
+    # its own pool and not wait on threads it lacks
     monkeypatch.setattr(dynamics, "SLAB_NODES", 1)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     mesh = qk.Mesh(2, 16, qk.PERIODIC)
@@ -392,7 +417,6 @@ def test_qhd_slab_pool_is_remade_in_a_forked_child(monkeypatch):
         qk.qhd_evolve(mesh, f, sched, 1.05, 1e-2, t0=1.0)
 
     run()
-    assert dynamics._POOL is not None
     with warnings.catch_warnings():
         # Python >= 3.12 warns on any fork of a process with threads
         warnings.simplefilter("ignore", DeprecationWarning)

@@ -195,6 +195,18 @@ def test_encoding_rejects_bad_sizes_naming_the_field(build, field):
         build()
 
 
+# relaxed_adjacency used to return a 4x4 coupling for r = 2.5 and the r = 1
+# one for True, and to fail inside kron_sum on d = 0 or 1.5; binomial_state
+# named Mesh's fields instead of r and d
+@pytest.mark.parametrize("build", [qk.relaxed_adjacency, binomial_state])
+@pytest.mark.parametrize("r, d, field", [(2.5, 1, "r"), (True, 2, "r"),
+                                         (2, 0, "d"), (2, 1.5, "d")])
+def test_relaxed_grid_builders_reject_bad_sizes_naming_r_or_d(build, r, d,
+                                                              field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+        build(r, d)
+
+
 def test_qp_to_qubo_linear_only():
     qp = QpInstance(1, sp.csr_matrix((1, 1)), np.array([1.0]))
     qubo = qk.qp_to_qubo(qp, qk.PrecisionLayout.hamming(1, 2))

@@ -85,12 +85,36 @@ def test_rescale_argmin_invariance(a, width):
     assert abs(u[np.argmin(g(u)), 0] - g.minimizer[0]) < 0.005
 
 
+def _squeeze_inputs(raw):
+    """A batch of unit-box points, their raw images, the raw values and
+    gradients there, and the domain width L."""
+    a, b = raw.domain
+    L = b - a
+    u = RNG.uniform(0, 1, size=(40, raw.dim))
+    x = a + L * u
+    return u, L, raw.eval_fn(x), raw.grad_fn(x)
+
+
 def test_affine_box_variant_preserves_values():
     raw = qk.get_objective("levy", rescaled=False)
     box = affine_to_unit_box(raw)
     u = RNG.uniform(0, 1, size=(40, 2))
     assert np.allclose(box(u), raw(-10.0 + 20.0 * u) - raw.f_min)
     assert abs(box(box.minimizer)) < 1e-9
+    # bitwise against the written-out map, for every registered function
+    for name in RAW_REGISTRY:
+        raw = qk.get_objective(name, rescaled=False)
+        box = affine_to_unit_box(raw)
+        u, L, vals, grads = _squeeze_inputs(raw)
+        assert np.array_equal(box.eval_fn(u), vals - raw.f_min), name
+        assert np.array_equal(box.grad_fn(u), L * grads), name
+        assert np.array_equal(box.minimizer,
+                              (raw.minimizer - raw.domain[0]) / L), name
+        if raw.hessian_at_min is not None:
+            assert np.array_equal(box.hessian_at_min,
+                                  L ** 2 * raw.hessian_at_min), name
+        assert box.name == raw.name + "_box"
+        assert box.f_min == 0.0 and box.domain == (0.0, 1.0)
 
 
 def test_quadratic_model_fixed_point():
@@ -146,6 +170,18 @@ def test_rescaled_gradient_equals_raw_gradient():
         a, b = raw.domain
         u = RNG.uniform(0.1, 0.9, size=(20, raw.dim))
         assert np.allclose(f.grad(u), raw.grad(a + (b - a) * u)), name
+        # bitwise against the written-out map (get_objective may quote the
+        # curvature in other coordinates, so squeeze the raw one here)
+        f = qk.rescale_to_unit_box(raw)
+        u, L, vals, grads = _squeeze_inputs(raw)
+        assert np.array_equal(f.eval_fn(u), (vals - raw.f_min) / L), name
+        assert np.array_equal(f.grad_fn(u), grads), name
+        assert np.array_equal(f.minimizer, (raw.minimizer - a) / L), name
+        if raw.hessian_at_min is not None:
+            assert np.array_equal(f.hessian_at_min,
+                                  L * raw.hessian_at_min), name
+        assert f.name == raw.name
+        assert f.f_min == 0.0 and f.domain == (0.0, 1.0)
 
 
 def test_registry_honesty():
