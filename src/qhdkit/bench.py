@@ -11,9 +11,8 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
 
-from .classical import nagd_run, sgd_run
+from .classical import _nagd_iterates, _sgd_iterates
 from .dynamics import _step_count, make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
@@ -108,6 +107,7 @@ def generate_qp(d: int, s: int, seed: int) -> QpInstance:
         rows.extend([i, j])
         cols.extend([j, i])
         vals.extend([v, v])
+    import scipy.sparse as sp
     Q = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
     b = rng.uniform(-1.0, 1.0, size=d)
     return QpInstance(d, Q, b)
@@ -287,8 +287,8 @@ def _relaxed_qhd(opts, qp, trials, rng):
 def _nagd(opts, qp, trials, rng):
     steps, s_lr = int(opts["steps"]), float(opts["stepsize"])
     x0 = rng.uniform(0.0, 1.0, size=(trials, qp.dim))
-    tr = nagd_run(qp_objective(qp), x0, s_lr, steps)
-    return tr.points[:, -1], steps * s_lr
+    pts = _nagd_iterates(qp_objective(qp), x0, s_lr, steps)
+    return pts[:, -1], steps * s_lr
 
 
 def _sgd(opts, qp, trials, rng):
@@ -296,9 +296,9 @@ def _sgd(opts, qp, trials, rng):
     # each trial's start, then its seed, drawn in turn
     x0, seeds = zip(*[(rng.uniform(0.0, 1.0, size=qp.dim),
                        int(rng.integers(2 ** 31))) for _ in range(trials)])
-    tr = sgd_run(qp_objective(qp), np.array(x0), s_lr, steps,
-                 noise_sigma=float(opts["noise_sigma"]), seed=seeds)
-    return tr.points[:, -1], steps * s_lr
+    pts = _sgd_iterates(qp_objective(qp), np.array(x0), s_lr, steps,
+                        noise_sigma=float(opts["noise_sigma"]), seed=seeds)
+    return pts[:, -1], steps * s_lr
 
 
 #: solver name -> (draw, defaults): ``draw(opts, qp, trials, rng)`` returns

@@ -41,8 +41,8 @@ def _check_gradient(g, k):
 
 
 def _start(x0, s, steps):
-    """Checked ``(runs, d)`` copy of the start, the ``(runs, steps+1, d)``
-    iterate array with it in row 0, and whether it was one ``(d,)`` point."""
+    """Checked ``(runs, d)`` copy of the start and the ``(runs, steps+1, d)``
+    iterate array with it in row 0."""
     if not s > 0:
         raise ValueError("stepsize must be positive")
     _require_count("steps", steps, 0)
@@ -52,13 +52,15 @@ def _start(x0, s, steps):
                          f"of at least one run, got shape {np.shape(x0)}")
     pts = np.empty((len(x), steps + 1, x.shape[1]))
     pts[:, 0] = x
-    return x, pts, np.ndim(x0) == 1
+    return x, pts
 
 
-def _trace(f, pts, s, single):
+def _trace(f, pts, s, x0):
+    """The trace of the ``(runs, steps+1, d)`` iterates ``pts``, with f on
+    every iterate; the run axis is dropped when ``x0`` was one point."""
     values = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float)
     values = values.reshape(pts.shape[:2])
-    if single:
+    if np.ndim(x0) == 1:
         pts, values = pts[0], values[0]
     return IterateTrace(pts, s * np.arange(pts.shape[-2]), values)
 
@@ -73,7 +75,13 @@ def nagd_run(f, x0, s: float, steps: int, project: bool = True) -> IterateTrace:
     the momentum point y may leave the box, the gradient is evaluated there.
     A ``(runs, d)`` ``x0`` steps every run at once (see ``IterateTrace``).
     """
-    x, pts, single = _start(x0, s, steps)
+    return _trace(f, _nagd_iterates(f, x0, s, steps, project), s, x0)
+
+
+def _nagd_iterates(f, x0, s, steps, project=True) -> np.ndarray:
+    """The ``(runs, steps+1, d)`` iterates of ``nagd_run``, f never
+    evaluated."""
+    x, pts = _start(x0, s, steps)
     y = x
     for k in range(1, steps + 1):
         g = f.grad(y)
@@ -82,7 +90,7 @@ def nagd_run(f, x0, s: float, steps: int, project: bool = True) -> IterateTrace:
         y = x_new + (k - 1.0) / (k + 2.0) * (x_new - x)
         x = x_new
         pts[:, k] = x
-    return _trace(f, pts, s, single)
+    return pts
 
 
 def sgd_run(f, x0, s: float, steps: int, noise_sigma: float = 1.0,
@@ -91,7 +99,15 @@ def sgd_run(f, x0, s: float, steps: int, noise_sigma: float = 1.0,
     every gradient component; deterministic per seed. ``noise_sigma = 0``
     reproduces plain gradient descent bit for bit. A ``(runs, d)`` ``x0``
     takes one seed per run, and run i matches a one-run call with seed[i]."""
-    x, pts, single = _start(x0, s, steps)
+    return _trace(f, _sgd_iterates(f, x0, s, steps, noise_sigma, seed,
+                                   project), s, x0)
+
+
+def _sgd_iterates(f, x0, s, steps, noise_sigma=1.0, seed=0,
+                  project=True) -> np.ndarray:
+    """The ``(runs, steps+1, d)`` iterates of ``sgd_run``, f never
+    evaluated."""
+    x, pts = _start(x0, s, steps)
     if not noise_sigma >= 0:
         raise ValueError("noise_sigma must be non-negative")
     seeds = np.atleast_1d(seed)
@@ -110,7 +126,7 @@ def sgd_run(f, x0, s: float, steps: int, noise_sigma: float = 1.0,
             g = g + noise_sigma * pts[:, k]
         x = _project(x - s * g, project)
         pts[:, k] = x
-    return _trace(f, pts, s, single)
+    return pts
 
 
 def ensemble_stats(trace: IterateTrace, x_star, radius: float):

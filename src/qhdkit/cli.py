@@ -156,7 +156,7 @@ def cmd_anneal_sim(args):
         raise ValueError(f"--shots must be >= 1, got {args.shots}")
     model, layout = ising.parse_model(pathlib.Path(args.model).read_text())
     if layout is None:
-        raise SystemExit("model file carries no layout line; cannot decode")
+        raise ValueError("model file carries no layout line; cannot decode")
     if isinstance(model, ising.QuboModel):
         model = ising.qubo_to_ising(model)
     sched = _SCHEDULES[args.schedule](args.stepsize, args.tf)
@@ -316,7 +316,12 @@ def main(argv=None):
     p.set_defaults(func=cmd_tcount)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # every typed input error in errors.py is a ValueError; report it
+        # on one line with argparse's exit status instead of a traceback
+        parser.exit(2, f"qhdkit {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,11 @@ Conventions pinned for reproducibility across modules:
   phase is cos/sin taken once per distinct potential value and gathered
   onto the grid, and the kinetic unitaries of ``STRANG_CHUNK`` steps are
   built together as stacked arrays. Both do the per-step arithmetic on the
-  same operands, so the states keep the bits of a step-by-step loop.
+  same operands, so the states keep the bits of a step-by-step loop. Its
+  per-axis coupling is the dense (r+1)x(r+1) tridiagonal built with
+  ``np.diag`` from the weights that ``relaxed_adjacency`` also uses, so the
+  loop never loads scipy; ``relaxed_adjacency``, the sparse Kronecker sum,
+  imports ``scipy.sparse`` when called.
 """
 
 from __future__ import annotations
@@ -43,15 +47,19 @@ import inspect
 import math
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
                    _require_count, discretize_objective, kron_sum,
                    success_mask, uniform_state, within_radius)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -345,6 +353,13 @@ class _Recorder:
 # The Strang loop
 # ---------------------------------------------------------------------------
 
+def _relaxed_weights(r: int) -> np.ndarray:
+    """The r off-diagonal entries sqrt((j+1)(r-j)/r) of the per-axis
+    coupling, shared by ``relaxed_adjacency`` and the Strang loop."""
+    j = np.arange(r, dtype=float)
+    return np.sqrt((j + 1.0) * (r - j) / r)
+
+
 def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
     """Weighted tridiagonal kinetic coupling extended by Kronecker sum.
 
@@ -357,8 +372,8 @@ def relaxed_adjacency(r: int, d: int) -> sp.csr_matrix:
     """
     _require_count("r", r)
     _require_count("d", d)
-    j = np.arange(r, dtype=float)
-    w = np.sqrt((j + 1.0) * (r - j) / r)
+    import scipy.sparse as sp
+    w = _relaxed_weights(r)
     return kron_sum(sp.diags([w, w], offsets=[1, -1], format="csr"), d)
 
 
@@ -410,7 +425,8 @@ def _strang_evolve(fvals, r, kin, pot, rec: _Recorder) -> np.ndarray:
     while g < d and n ** (g + 1) <= STRANG_BLOCK_CAP:
         g += 1
     blocks = [g] * (d // g) + ([d % g] if d % g else [])
-    lam, vecs = np.linalg.eigh(relaxed_adjacency(r, 1).toarray())
+    w = _relaxed_weights(r)
+    lam, vecs = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
     t0, dt = rec.t0, rec.dt
     psi = binomial_state(r, d).amplitudes.reshape(fvals.shape)
     levels, where = np.unique(fvals, return_inverse=True)

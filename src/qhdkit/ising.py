@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
                        _step_count, _strang_evolve, binomial_state,
@@ -353,6 +352,7 @@ def verify_subspace_encoding(H_dense, V, H_target, tol: float) -> dict:
     the encoded subspace outside itself; mismatch = max |V^T H V - H_target|
     measures how far the restriction is from the target operator.
     """
+    import scipy.sparse as sp
     H_dense = np.asarray(H_dense, dtype=float)
     V = np.asarray(V, dtype=float)
     H_target = (H_target.toarray() if sp.issparse(H_target)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EvaluationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -146,6 +149,7 @@ class DiagonalOperator:
 
 
 def _chain_adjacency(n: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
     ones = np.ones(n - 1)
     return sp.diags([ones, ones], offsets=[1, -1], format="csr")
 
@@ -154,6 +158,7 @@ def kron_sum(a1, dim: int) -> sp.csr_matrix:
     """Kronecker sum of ``dim`` copies of the square sparse matrix ``a1``:
     the sum over axes k of I x ... x a1 (at k) x ... x I, first axis
     slowest as in the flat-index convention."""
+    import scipy.sparse as sp
     eye = sp.identity(a1.shape[0], format="csr")
     total = None
     for k in range(dim):
@@ -178,6 +183,7 @@ def build_fdm_operators(mesh: Mesh):
     on all (r+1)^d nodes, A_d the lattice adjacency, and positions[k] is the
     diagonal observable with value j_k / r at node (j_1, ..., j_d).
     """
+    import scipy.sparse as sp
     mesh.require(DIRICHLET)
     r = mesh.cells_per_edge
     adj = lattice_adjacency(mesh)

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -357,6 +360,7 @@ class QpInstance:
     b: np.ndarray
 
     def __post_init__(self):
+        import scipy.sparse as sp
         Q = sp.csr_matrix(self.Q, dtype=float)
         if Q.shape != (self.dim, self.dim):
             raise ValueError("Q has wrong shape")
@@ -369,6 +373,7 @@ class QpInstance:
         object.__setattr__(self, "b", b)
 
     def to_json(self) -> str:
+        import scipy.sparse as sp
         coo = sp.triu(self.Q).tocoo()
         triplets = sorted(
             (int(i), int(j), float(v))
@@ -379,6 +384,7 @@ class QpInstance:
 
     @staticmethod
     def from_json(text: str) -> "QpInstance":
+        import scipy.sparse as sp
         doc = json.loads(text)
         d = int(doc["dim"])
         rows, cols, vals = [], [], []

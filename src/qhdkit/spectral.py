@@ -23,15 +23,18 @@ smallest-algebraic Lanczos.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dynamics import Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
                    _is_integer, build_fdm_operators, discretize_objective)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 #: dense eigendecomposition below this many unknowns (also the test oracle)
 DENSE_LIMIT = 2000
@@ -95,6 +98,7 @@ class FourierHamiltonian:
         return out.reshape(-1)
 
     def as_linear_operator(self) -> spla.LinearOperator:
+        import scipy.sparse.linalg as spla
         return spla.LinearOperator(self.shape, matvec=self.matvec,
                                    dtype=float)
 
@@ -117,6 +121,7 @@ def build_hamiltonian(mesh: Mesh, f, e_phi: float, e_chi: float) -> BoxHamiltoni
     ``f`` may be an objective or an already discretized DiagonalOperator on
     the same mesh.
     """
+    import scipy.sparse as sp
     mesh.require(DIRICHLET)
     _check_coefficients(e_phi, e_chi)
     fop = f if isinstance(f, DiagonalOperator) else discretize_objective(mesh, f)
@@ -164,6 +169,8 @@ def lowest_eigenpairs(H, k: int) -> EigenSystem:
     """k smallest eigenpairs of a BoxHamiltonian, a FourierHamiltonian or a
     bare (sparse or dense) matrix, deterministic given the fixed all-ones
     Lanczos start vector; the solver rule is in the module docstring."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     if not (_is_integer(k) and 1 <= k <= MAX_LEVELS):
         raise ValueError(
             f"k must be an integer between 1 and {MAX_LEVELS}, got {k!r}")

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,36 @@ def test_solver_trials_pinned_p_s(qseed, name, tseed, p_s):
     got, _ = _solver_trials({"name": name, "resolution": 4, "refine": True},
                             qp, f_star, 1000, seed=tseed)
     assert got == p_s
+
+
+@pytest.mark.parametrize("name", ["nagd", "sgd"])
+def test_gradient_draws_skip_values(name, monkeypatch):
+    # the draws keep only the final iterates, so they never evaluate f;
+    # the points are those of the public runs from the same starts
+    from qhdkit.bench import _SOLVERS
+    qp = qk.generate_qp(4, 3, seed=5)
+    draw, defaults = _SOLVERS[name]
+    opts = {**defaults, "steps": 50}
+
+    def no_value(x):
+        raise AssertionError("the objective's value was evaluated")
+
+    monkeypatch.setattr(qk.bench, "qp_objective",
+                        lambda q: replace(qp_objective(q), eval_fn=no_value))
+    points, t_f = draw(opts, qp, 7, np.random.default_rng(3))
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(3)
+    if name == "nagd":
+        x0 = rng.uniform(0.0, 1.0, size=(7, qp.dim))
+        ref = qk.nagd_run(qp_objective(qp), x0, opts["stepsize"], 50)
+    else:
+        x0, seeds = zip(*[(rng.uniform(0.0, 1.0, size=qp.dim),
+                           int(rng.integers(2 ** 31))) for _ in range(7)])
+        ref = qk.sgd_run(qp_objective(qp), np.array(x0), opts["stepsize"],
+                         50, noise_sigma=opts["noise_sigma"], seed=seeds)
+    assert points.tobytes() == ref.points[:, -1].tobytes()
+    assert t_f == 50 * opts["stepsize"]
 
 
 def test_tts_examples():

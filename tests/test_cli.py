@@ -1,5 +1,10 @@
+import contextlib
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +12,20 @@ import pytest
 import qhdkit as qk
 from qhdkit.cli import main
 from qhdkit.ising import parse_model
+
+
+@contextlib.contextmanager
+def _input_error(capsys, command, why):
+    """Expect ``main`` to report an input error as argparse reports its own:
+    one stderr line ``qhdkit <command>: error: ...`` matching ``why``, and
+    exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        yield
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qhdkit {command}: error: ")
+    assert err.count("\n") == 1
+    assert re.search(why, err)
 
 
 def test_tts_command(capsys):
@@ -62,7 +81,7 @@ def test_classical_command(tmp_path):
     (["--iters", "-1"], "steps"),
 ])
 def test_classical_rejects_bad_input_before_any_iteration(
-        flags, why, tmp_path, monkeypatch):
+        flags, why, tmp_path, monkeypatch, capsys):
     def never(x):
         raise AssertionError("an iteration ran")
 
@@ -72,7 +91,7 @@ def test_classical_rejects_bad_input_before_any_iteration(
                             dim=2, eval_fn=levy.eval_fn, grad_fn=never,
                             minimizer=levy.minimizer))
     for algo in ("nagd", "sgd"):
-        with pytest.raises(ValueError, match=why):
+        with _input_error(capsys, "classical", why):
             main(["classical", "--algo", algo, "--iters", "5", "--runs", "3",
                   *flags, "--out", str(tmp_path)])
     assert not (tmp_path / "ensemble.csv").exists()
@@ -112,12 +131,12 @@ def test_qp_gen_and_encode_roundtrip(tmp_path):
 @pytest.mark.parametrize("encoding, flag, field", [
     ("hamming", "--resolution", "r"), ("radix2", "--bits", "bits")])
 def test_encode_rejects_zero_bits_per_variable(encoding, flag, field,
-                                               tmp_path):
+                                               tmp_path, capsys):
     # --resolution 0 used to die with a ZeroDivisionError traceback
     main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
           "--seed", "1", "--out", str(tmp_path)])
     out = tmp_path / "m.txt"
-    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+    with _input_error(capsys, "encode", f"{field} must be an integer >= 1"):
         main(["encode", "--qp", str(next(tmp_path.glob("*.json"))),
               "--encoding", encoding, flag, "0", "--format", "qubo",
               "--out", str(out)])
@@ -149,7 +168,8 @@ def test_anneal_sim_smoke(tmp_path):
 
 @pytest.mark.parametrize("shots", ["0", "-1"])
 def test_anneal_sim_rejects_bad_shots_before_the_evolution(shots, tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           capsys):
     # -1 used to die in numpy's rng.choice after the whole evolution, and 0
     # wrote a header-only CSV
     main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
@@ -168,7 +188,7 @@ def test_anneal_sim_rejects_bad_shots_before_the_evolution(shots, tmp_path,
     monkeypatch.setattr(qk.ising, "anneal_rescale", lambda *a: env)
     out_csv = tmp_path / "samples.csv"
     for extra in ([], ["--physical"]):
-        with pytest.raises(ValueError, match="--shots must be >= 1"):
+        with _input_error(capsys, "anneal-sim", "--shots must be >= 1"):
             main(["anneal-sim", "--model", str(model_path), "--tf", "2.0",
                   "--dt", "0.01", "--shots", shots, "--out", str(out_csv),
                   *extra])
@@ -238,14 +258,14 @@ def test_bench_command(tmp_path):
 
 @pytest.mark.parametrize("levels", ["40", "0", "-1"])
 def test_spectrum_rejects_bad_levels_before_the_evolution(
-        levels, tmp_path, monkeypatch):
+        levels, tmp_path, monkeypatch, capsys):
     # 40 used to fail after the whole evolution, 0 wrote only residual rows
     # and -1 silently wrote one level
     def never(*args, **kwargs):
         raise AssertionError("the evolution ran")
 
     monkeypatch.setattr(qk.dynamics, "qhd_evolve", never)
-    with pytest.raises(ValueError, match="--levels"):
+    with _input_error(capsys, "spectrum", "--levels"):
         main(["spectrum", "--resolution", "16", "--times", "1",
               "--levels", levels, "--out", str(tmp_path)])
     assert not (tmp_path / "spectrum.csv").exists()
@@ -254,14 +274,80 @@ def test_spectrum_rejects_bad_levels_before_the_evolution(
 @pytest.mark.parametrize("resolution, levels", [("2", "10"), ("3", "10"),
                                                 ("2", "1")])
 def test_spectrum_rejects_too_coarse_grid_before_the_evolution(
-        resolution, levels, tmp_path, monkeypatch):
+        resolution, levels, tmp_path, monkeypatch, capsys):
     # (r - 1)^d interior nodes must hold max(levels, 2) levels; the solver
     # used to find out only after the whole evolution had run
     def never(*args, **kwargs):
         raise AssertionError("the evolution ran")
 
     monkeypatch.setattr(qk.dynamics, "qhd_evolve", never)
-    with pytest.raises(ValueError, match="interior nodes"):
+    with _input_error(capsys, "spectrum", "interior nodes"):
         main(["spectrum", "--resolution", resolution, "--times", "0.01",
               "--dt", "1e-3", "--levels", levels, "--out", str(tmp_path)])
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_simulate_qhd_off_grid_horizon_exits_2(tmp_path, capsys):
+    # used to end in a StepGridError traceback with exit status 1; the
+    # encode and classical input errors are checked the same way above
+    with _input_error(capsys, "simulate-qhd", "not a whole number of steps"):
+        main(["simulate-qhd", "--T", "1", "--dt", "0.3",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_anneal_sim_model_without_layout_exits_2(tmp_path, capsys):
+    # used to exit with status 1 and the bare message
+    main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
+          "--seed", "1", "--out", str(tmp_path)])
+    model = tmp_path / "m.txt"
+    main(["encode", "--qp", str(tmp_path / "instance_000.json"),
+          "--resolution", "2", "--out", str(model)])
+    model.write_text("".join(line for line in model.read_text()
+                             .splitlines(keepends=True)
+                             if not line.startswith("# layout")))
+    capsys.readouterr()
+    with _input_error(capsys, "anneal-sim", "no layout line"):
+        main(["anneal-sim", "--model", str(model), "--tf", "0.1",
+              "--dt", "0.01", "--out", str(tmp_path / "s.csv")])
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_commands_without_sparse_algebra_never_import_scipy(tmp_path):
+    # scipy is imported inside the functions that use it; a fresh
+    # interpreter that imports qhdkit and runs these commands never loads it
+    main(["qp-gen", "--dim", "2", "--sparsity", "2", "--count", "1",
+          "--seed", "1", "--out", str(tmp_path)])
+    model = tmp_path / "m.txt"
+    main(["encode", "--qp", str(tmp_path / "instance_000.json"),
+          "--encoding", "hamming", "--resolution", "2", "--format", "qubo",
+          "--out", str(model)])
+    out = str(tmp_path / "out")
+    calls = [
+        ["simulate-qhd", "--resolution", "8", "--T", "0.1", "--dt", "0.01",
+         "--out", out],
+        ["simulate-qaa", "--bits", "2", "--T", "0.1", "--dt", "0.01",
+         "--out", out],
+        ["classical", "--algo", "nagd", "--iters", "5", "--runs", "2",
+         "--out", out],
+        ["anneal-sim", "--model", str(model), "--tf", "0.1", "--dt", "0.01",
+         "--shots", "5", "--out", out + "/samples.csv"],
+        ["tts", "--tf", "1", "--ps", "0.5"],
+        ["tcount", "--dim", "5"],
+    ]
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import qhdkit\n"
+        "from qhdkit.cli import main\n"
+        "assert not scipy_modules(), ('import', scipy_modules())\n"
+        f"for argv in {calls!r}:\n"
+        "    main(argv)\n"
+        "    assert not scipy_modules(), (argv[0], scipy_modules())\n")
+    src = str(pathlib.Path(qk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
