@@ -85,7 +85,9 @@ def generate_qp(d: int, s: int, seed: int) -> QpInstance:
     The always-present diagonal entry counts toward the per-row budget, so
     rows carry at most s - 1 off-diagonal partners.
     """
-    if not (1 <= s <= d):
+    _require_count("d", d)
+    _require_count("s", s)
+    if s > d:
         raise ValueError("sparsity must satisfy 1 <= s <= d")
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -128,7 +130,7 @@ def grid_bruteforce_min(qp: QpInstance, r: int):
     lexicographically first multi-index. More than ``ORACLE_GRID_CAP``
     nodes raise ``ResourceError``."""
     pts = _oracle_grid(qp.dim, r).node_coords()
-    vals = qp_objective(qp)(pts)
+    vals = qp_eval_grad(qp, pts)[0]
     idx = int(np.argmin(vals))
     return pts[idx], float(vals[idx])
 
@@ -186,7 +188,7 @@ def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     ``ResourceError``."""
     _require_count("n_starts", n_starts)
     pts = _oracle_grid(qp.dim, r).node_coords()
-    vals = qp_objective(qp)(pts)
+    vals = qp_eval_grad(qp, pts)[0]
     order = np.argsort(vals, kind="stable")[:n_starts]
     x = local_refine(qp, pts[order])
     f = qp_eval_grad(qp, x)[0]
@@ -197,7 +199,8 @@ def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
 def success(f_found: float, f_star: float) -> bool:
     """A solution counts as global when |f_found - f_star| <= SUCCESS_GAP,
     boundary inclusive; a small absolute guard keeps decimal boundary cases
-    (whose difference is not exactly representable) on the inclusive side."""
+    (whose difference is not exactly representable) on the inclusive side.
+    An array of ``f_found`` gives the mask, element by element."""
     return abs(f_found - f_star) <= SUCCESS_GAP + 1e-12 * (1.0 + abs(f_star))
 
 
@@ -221,7 +224,10 @@ def tcount(d: int, s: int, R: int, q: int) -> int:
     """Fault-tolerant T-gate count of the digital product-formula realization
     for a sparsity-s quadratic objective in dimension d over R iterations:
     2 ((c_add + c_mult)(s + 2) + c_aqft) d R with per-width subroutine
-    constants."""
+    constants. A d, s or R that is not an integer >= 1 raises
+    ``ValueError``."""
+    for name, count in (("d", d), ("s", s), ("R", R)):
+        _require_count(name, count)
     if q not in TCOUNT_SUBROUTINES:
         raise ValueError(
             f"unsupported register width {q}; known: "
@@ -324,8 +330,7 @@ def _solver_trials(solver, qp, f_star, trials, seed):
         return 1.0, t_f
     if opts["refine"]:
         points = local_refine(qp, points)
-    hits = sum(success(f, f_star)
-               for f in qp_eval_grad(qp, points)[0].tolist())
+    hits = np.count_nonzero(success(qp_eval_grad(qp, points)[0], f_star))
     return hits / len(points), t_f
 
 

@@ -140,13 +140,12 @@ def cmd_encode(args):
         layout = ising.PrecisionLayout.hamming(qp.dim, args.resolution)
     else:
         layout = ising.PrecisionLayout.radix2(qp.dim, args.bits)
-    qubo = ising.qp_to_qubo(qp, layout)
     if args.encoding == "hamming" and args.format == "ising":
         model = ising.hamming_encode_qp(qp, args.resolution)
-    elif args.format == "ising":
-        model = ising.qubo_to_ising(qubo)
     else:
-        model = qubo
+        model = ising.qp_to_qubo(qp, layout)
+        if args.format == "ising":
+            model = ising.qubo_to_ising(model)
     pathlib.Path(args.out).write_text(ising.format_model(model, layout))
     print(f"wrote {args.out}")
 

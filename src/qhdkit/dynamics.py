@@ -652,7 +652,9 @@ class Radix2Problem:
 
 
 def radix2_problem(f, bits_per_var: int) -> Radix2Problem:
-    """Tabulate an objective over the radix-2 hypercube (dense, dq <= 24)."""
+    """Tabulate an objective over the radix-2 hypercube (dense, dq <= 24);
+    a ``bits_per_var`` that is not an integer >= 1 raises ``ValueError``."""
+    _require_count("bits_per_var", bits_per_var)
     dim = f.dim
     n = dim * bits_per_var
     if n > 24:

@@ -256,13 +256,11 @@ def qp_to_qubo(qp: QpInstance, layout: PrecisionLayout) -> QuboModel:
     P = np.kron(np.eye(qp.dim), p[None, :])          # d x (d*b)
     M = P.T @ qp.Q.toarray() @ P
     linear = 0.5 * np.diag(M) + P.T @ qp.b
-    quad = {}
-    nb = layout.n
-    for u in range(nb):
-        for v in range(u + 1, nb):
-            if M[u, v] != 0.0:
-                quad[(u, v)] = float(M[u, v])
-    return QuboModel(n=nb, linear=linear, quadratic=quad, offset=0.0)
+    # row-major, as a double loop over u < v would visit them
+    rows, cols = np.nonzero(np.triu(M, 1))
+    quad = dict(zip(zip(rows.tolist(), cols.tolist()),
+                    M[rows, cols].tolist()))
+    return QuboModel(n=layout.n, linear=linear, quadratic=quad, offset=0.0)
 
 
 def qubo_to_ising(m: QuboModel) -> IsingModel:
@@ -320,29 +318,28 @@ def decode_samples(bits, layout: PrecisionLayout) -> np.ndarray:
     return digits @ layout.precision
 
 
+def _energy_table(n, spins, linear, pairs) -> np.ndarray:
+    """Energies without offset of all 2^n assignments, the variables being
+    the bits of ``bit_table(n)`` or, when ``spins``, the spins 1 - 2 bit."""
+    if n > 20:
+        raise ResourceError("energy table too large")
+    bits = bit_table(n)
+    s = 1.0 - 2.0 * bits if spins else bits.astype(float)
+    e = s @ linear
+    for (j, k), c in pairs:
+        e += c * s[:, j] * s[:, k]
+    return e
+
+
 def ising_energies(model: IsingModel, include_offset: bool = True) -> np.ndarray:
     """Energies of all 2^n assignments (dense oracle, n <= 14 advised)."""
-    if model.n > 20:
-        raise ResourceError("energy table too large")
-    z = 1.0 - 2.0 * bit_table(model.n)
-    e = z @ model.h
-    for (j, k), v in model.J.items():
-        e += v * z[:, j] * z[:, k]
-    if include_offset:
-        e = e + model.offset
-    return e
+    e = _energy_table(model.n, True, model.h, model.J.items())
+    return e + model.offset if include_offset else e
 
 
 def qubo_energies(model: QuboModel, include_offset: bool = True) -> np.ndarray:
-    if model.n > 20:
-        raise ResourceError("energy table too large")
-    x = bit_table(model.n).astype(float)
-    e = x @ model.linear
-    for (u, v), q in model.quadratic.items():
-        e += q * x[:, u] * x[:, v]
-    if include_offset:
-        e = e + model.offset
-    return e
+    e = _energy_table(model.n, False, model.linear, model.quadratic.items())
+    return e + model.offset if include_offset else e
 
 
 def verify_subspace_encoding(H_dense, V, H_target, tol: float) -> dict:

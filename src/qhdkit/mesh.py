@@ -157,16 +157,14 @@ def _chain_adjacency(n: int) -> sp.csr_matrix:
 def kron_sum(a1, dim: int) -> sp.csr_matrix:
     """Kronecker sum of ``dim`` copies of the square sparse matrix ``a1``:
     the sum over axes k of I x ... x a1 (at k) x ... x I, first axis
-    slowest as in the flat-index convention."""
+    slowest as in the flat-index convention. Built as K_1 = a1,
+    K_{k+1} = K_k x I + I x a1, which adds the axes' terms in axis order."""
     import scipy.sparse as sp
-    eye = sp.identity(a1.shape[0], format="csr")
-    total = None
-    for k in range(dim):
-        term = None
-        for ax in range(dim):
-            block = a1 if ax == k else eye
-            term = block if term is None else sp.kron(term, block, format="csr")
-        total = term if total is None else total + term
+    n = a1.shape[0]
+    total = a1
+    for k in range(1, dim):
+        total = (sp.kron(total, sp.identity(n), format="csr")
+                 + sp.kron(sp.identity(n ** k), a1, format="csr"))
     return total.tocsr()
 
 
@@ -251,8 +249,7 @@ def sample_positions(psi: WaveFunction, shots: int, seed: int) -> np.ndarray:
 
     Returns a (shots, dim) array of node coordinates.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _require_count("shots", shots)
     rng = np.random.default_rng(seed)
     p = psi.density()
     p = p / p.sum()

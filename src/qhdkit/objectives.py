@@ -421,23 +421,21 @@ def qp_eval_grad(qp: QpInstance, x):
     # contiguous rows make each vecdot sum in the order of a 1-D x @ y
     QX = np.ascontiguousarray((qp.Q @ X.T).T)
     values = 0.5 * np.vecdot(X, QX) + np.vecdot(X, qp.b)
-    grads = QX + qp.b
+    QX += qp.b   # the gradients, without a second (n, d) array
     if x.ndim == 2:
-        return values, grads
-    return float(values[0]), grads[0]
+        return values, QX
+    return float(values[0]), QX[0]
 
 
 def qp_objective(qp: QpInstance) -> Objective:
-    """Wrap a QP instance as a vectorized Objective on the unit box."""
-
-    def ev(x):
-        x = np.atleast_2d(x)
-        qx = np.asarray((qp.Q @ x.T).T)
-        return 0.5 * np.einsum("ni,ni->n", qx, x) + x @ qp.b
+    """Wrap a QP instance as a vectorized Objective on the unit box. Its
+    values are those of ``qp_eval_grad``; its gradient is the same Q x + b,
+    computed without the values."""
 
     def gr(x):
         x = np.atleast_2d(x)
         return np.asarray((qp.Q @ x.T).T) + qp.b
 
-    return Objective(dim=qp.dim, eval_fn=ev, grad_fn=gr,
-                     domain=(0.0, 1.0), name="qp")
+    return Objective(dim=qp.dim,
+                     eval_fn=lambda x: qp_eval_grad(qp, np.atleast_2d(x))[0],
+                     grad_fn=gr, domain=(0.0, 1.0), name="qp")

@@ -53,6 +53,34 @@ def test_generate_qp_invalid_sparsity():
         qk.generate_qp(5, 6, seed=1)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: qk.tcount(2.5, 5, 10, 3), "d"),
+    (lambda: qk.tcount(-1, 5, 1000, 3), "d"),
+    (lambda: qk.tcount(5, True, 1000, 3), "s"),
+    (lambda: qk.tcount(5, 5, 0, 3), "R"),
+    (lambda: qk.generate_qp(2.5, 1, 0), "d"),
+    (lambda: qk.generate_qp(True, 1, 0), "d"),
+    (lambda: qk.generate_qp(3, 1.5, 0), "s"),
+    (lambda: qk.radix2_problem(qk.get_objective("levy"), 0), "bits_per_var"),
+    (lambda: qk.sample_positions(
+        qk.uniform_state(qk.Mesh(1, 4, qk.DIRICHLET)), 2.5, 0), "shots"),
+], ids=["tcount-d-2.5", "tcount-d-negative", "tcount-s-bool", "tcount-R-0",
+        "generate_qp-d-2.5", "generate_qp-d-bool", "generate_qp-s-1.5",
+        "radix2_problem-bits-0", "sample_positions-shots-2.5"])
+def test_counts_fail_early_naming_the_count(call, name):
+    # a typed error naming the count, not a number, an instance or a
+    # TypeError from inside numpy
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+        call()
+
+
+def test_bruteforce_value_is_qp_eval_grad_at_its_point():
+    for seed in range(6):
+        qp = qk.generate_qp(4, 3, seed)
+        x, f = qk.grid_bruteforce_min(qp, 6)
+        assert f == qk.qp_eval_grad(qp, x)[0]
+
+
 def test_bruteforce_corner_cases():
     qp = qk.QpInstance(2, sp.identity(2, format="csr"),
                        np.array([-1.0, -1.0]))

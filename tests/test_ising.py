@@ -215,6 +215,21 @@ def test_qp_to_qubo_linear_only():
     assert qubo.offset == 0.0
 
 
+def test_qp_to_qubo_pairs_in_double_loop_order():
+    for d, s, seed in [(3, 3, 1), (5, 3, 2), (6, 4, 3)]:
+        qp = qk.generate_qp(d, s, seed)
+        for layout in (qk.PrecisionLayout.hamming(d, 3),
+                       qk.PrecisionLayout.radix2(d, 4)):
+            P = np.kron(np.eye(d), layout.precision[None, :])
+            M = P.T @ qp.Q.toarray() @ P
+            want = [((u, v), float(M[u, v])) for u in range(layout.n)
+                    for v in range(u + 1, layout.n) if M[u, v] != 0.0]
+            got = list(qk.qp_to_qubo(qp, layout).quadratic.items())
+            assert got == want
+            assert all(type(x) is int for key, _ in got for x in key)
+            assert all(type(v) is float for _, v in got)
+
+
 def test_qp_to_qubo_energy_equals_objective():
     for d, b, seed, layout_kind in [(2, 3, 3, "hamming"), (2, 4, 4, "radix2")]:
         qp = random_qp(d, seed)

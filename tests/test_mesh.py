@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qhdkit as qk
 from qhdkit.errors import EvaluationError
-from qhdkit.mesh import lattice_adjacency, point_mass, success_mask
+from qhdkit.mesh import (_chain_adjacency, kron_sum, lattice_adjacency,
+                         point_mass, success_mask)
 
 
 def test_mesh_node_counts():
@@ -45,6 +47,38 @@ def test_fdm_laplacian_1d_r2():
     expected = 4.0 * np.array([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     assert np.allclose(lap.toarray(), expected)
     assert np.allclose(pos[0].values, [0.0, 0.5, 1.0])
+
+
+def _kron_sum_written_out(a1, dim):
+    # the sum over axes k of I x ... x a1 (at k) x ... x I, term by term
+    eye = sp.identity(a1.shape[0], format="csr")
+    total = None
+    for k in range(dim):
+        term = None
+        for ax in range(dim):
+            block = a1 if ax == k else eye
+            term = block if term is None else sp.kron(term, block,
+                                                      format="csr")
+        total = term if total is None else total + term
+    return total.tocsr()
+
+
+@pytest.mark.parametrize("make_a1", [
+    _chain_adjacency,
+    lambda n: (_chain_adjacency(n) - 2.0 * sp.identity(n)).tocsr(),
+    lambda n: sp.csr_matrix(np.cos(np.add.outer(np.arange(n), np.arange(n)))),
+    lambda n: qk.relaxed_adjacency(n, 1),
+], ids=["chain", "fdm_block", "dense", "relaxed"])
+def test_kron_sum_equals_sum_of_axis_terms(make_a1):
+    # bitwise, so the diagonal of an a1 with nonzero diagonal must be
+    # summed over the axes in axis order
+    for n in (2, 3, 5):
+        a1 = make_a1(n)
+        for dim in range(1, 5):
+            got, want = kron_sum(a1, dim), _kron_sum_written_out(a1, dim)
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def test_fdm_position_2d():

@@ -258,6 +258,21 @@ def test_qp_eval_grad_batch_rows_match_single_points():
             qk.qp_eval_grad(qp, points)
 
 
+def test_qp_objective_values_and_gradients_are_qp_eval_grad():
+    # the truth oracle's grid, the relaxed-grid potential and the scored
+    # trials compare f values against SUCCESS_GAP, so all must be the same
+    # floats; a different summation order is ulps off on many of these nodes
+    for seed in range(4):
+        for d, r in [(5, 4), (3, 4), (2, 8)]:
+            qp = qk.generate_qp(d, d, seed)
+            pts = qk.Mesh(d, r, qk.DIRICHLET).node_coords()
+            values, grads = qk.qp_eval_grad(qp, pts)
+            f = qk.qp_objective(qp)
+            assert f(pts).tobytes() == values.tobytes()
+            assert f.grad(pts).tobytes() == grads.tobytes()
+            assert f(pts[7]) == values[7]
+
+
 def test_qp_requires_symmetry():
     Q = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
