@@ -9,6 +9,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .dynamics import _step_count, make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
 from .mesh import (DIRICHLET, Mesh, _is_integer, _require_count,
-                   sample_positions)
+                   _require_real, sample_positions)
 from .objectives import QpInstance, qp_eval_grad, qp_objective
 
 #: two objective values count as the same solution within this gap
@@ -74,7 +75,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         cfg = ExperimentConfig(**doc)
-        _check("config", "trials", cfg.trials)
+        _require_count("config 'trials'", cfg.trials)
         return cfg
 
 
@@ -152,8 +153,7 @@ def local_refine(qp: QpInstance, x0, tol: float = 1e-8,
         raise ValueError(f"starts must be (d,) or (n, d), got shape "
                          f"{x0.shape}")
     _require_count("max_iter", max_iter, 0)
-    if not (_is_finite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _require_real("tol", tol, strict=False)
     x = np.clip(np.atleast_2d(x0), 0.0, 1.0)
     fx, g = qp_eval_grad(qp, x)
     step = np.ones(len(x))
@@ -208,8 +208,7 @@ def tts(t_f: float, p_s: float) -> float:
     """Expected time to hit the global solution with 99% confidence:
     t_f * ceil(ln(1 - 0.99) / ln(1 - p_s)); infinity when p_s = 0 and
     exactly t_f once p_s reaches the confidence level."""
-    if t_f <= 0:
-        raise ValueError("per-trial time must be positive")
+    _require_real("t_f", t_f)
     if not (0.0 <= p_s <= 1.0):
         raise ValueError("success probability must lie in [0, 1]")
     if p_s == 0.0:
@@ -245,31 +244,16 @@ def tcount(d: int, s: int, R: int, q: int) -> int:
 MACHINE_A0_OVER_H = 9.63e9
 
 
-def _is_finite(v):
-    return ((_is_integer(v) or isinstance(v, (float, np.floating)))
-            and math.isfinite(v))
-
-
-#: key -> (what its value must be, test of the value), for every solver key
-#: and run-level field; sparsity also depends on dim and is checked apart
+#: key -> check(name, value) raising ``ValueError``, for every numeric
+#: solver key and run-level field; sparsity also depends on dim, and it,
+#: ``solvers`` and ``refine`` are checked apart
 _KEY_RULES = {
-    **{key: ("an integer >= 1", lambda v: _is_integer(v) and v >= 1)
-       for key in ("resolution", "steps", "dim", "n_instances", "trials",
-                   "truth_resolution")},
-    **{key: ("finite and > 0", lambda v: _is_finite(v) and v > 0)
-       for key in ("T", "dt", "stepsize", "t_f")},
-    "noise_sigma": ("finite and >= 0", lambda v: _is_finite(v) and v >= 0),
-    "refine": ("a bool", lambda v: isinstance(v, bool)),
-    "master_seed": ("an integer >= 0", lambda v: _is_integer(v) and v >= 0),
-    "solvers": ("a non-empty list of dicts", lambda v: isinstance(v, list)
-                and v != [] and all(isinstance(s, dict) for s in v)),
+    **dict.fromkeys(("resolution", "steps", "dim", "n_instances", "trials",
+                     "truth_resolution"), _require_count),
+    **dict.fromkeys(("T", "dt", "stepsize", "t_f"), _require_real),
+    "noise_sigma": partial(_require_real, strict=False),
+    "master_seed": partial(_require_count, low=0),
 }
-
-
-def _check(where, key, val):
-    what, ok = _KEY_RULES[key]
-    if not ok(val):
-        raise ValueError(f"{where} {key!r} must be {what}, got {val!r}")
 
 
 def _uniform_grid(opts, qp, trials, rng):
@@ -351,7 +335,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
 
     for f in fields(config):
         if f.name in _KEY_RULES:
-            _check("config", f.name, getattr(config, f.name))
+            _KEY_RULES[f.name](f"config {f.name!r}", getattr(config, f.name))
+    if not (isinstance(config.solvers, list) and config.solvers
+            and all(isinstance(s, dict) for s in config.solvers)):
+        raise ValueError("config 'solvers' must be a non-empty list of "
+                         f"dicts, got {config.solvers!r}")
     s = config.sparsity
     if not (_is_integer(s) and 1 <= s <= config.dim):
         raise ValueError(f"config 'sparsity' must be an integer in "
@@ -365,8 +353,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> list:
         if unknown:
             raise ValueError(f"solver {name!r}: unknown keys "
                              f"{sorted(unknown)}")
+        if not isinstance(solver.get("refine", False), bool):
+            raise ValueError(f"solver {name!r}: 'refine' must be a bool, "
+                             f"got {solver['refine']!r}")
         for key in sorted(set(solver) & set(_KEY_RULES)):
-            _check(f"solver {name!r}:", key, solver[key])
+            _KEY_RULES[key](f"solver {name!r}: {key!r}", solver[key])
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(config.master_seed).generate_state(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .mesh import _require_count, within_radius
+from .mesh import _require_count, _require_real, within_radius
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def _check_gradient(g, k):
 def _start(x0, s, steps):
     """Checked ``(runs, d)`` copy of the start and the ``(runs, steps+1, d)``
     iterate array with it in row 0."""
-    if not s > 0:
-        raise ValueError("stepsize must be positive")
+    _require_real("stepsize", s)
     _require_count("steps", steps, 0)
     x = np.array(x0, dtype=float, ndmin=2)
     if x.ndim != 2 or len(x) == 0:
@@ -108,8 +107,7 @@ def _sgd_iterates(f, x0, s, steps, noise_sigma=1.0, seed=0,
     """The ``(runs, steps+1, d)`` iterates of ``sgd_run``, f never
     evaluated."""
     x, pts = _start(x0, s, steps)
-    if not noise_sigma >= 0:
-        raise ValueError("noise_sigma must be non-negative")
+    _require_real("noise_sigma", noise_sigma, strict=False)
     seeds = np.atleast_1d(seed)
     if len(seeds) != len(x):
         raise ValueError(f"{len(x)} runs need one seed each, "

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import bench, classical, dynamics, ising, mesh, objectives, spectral
+from .errors import StabilityError
 
 
 def _csv_write(path, header, rows):
@@ -317,9 +318,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # every typed input error in errors.py is a ValueError; report it
-        # on one line with argparse's exit status instead of a traceback
+    except (ValueError, StabilityError) as exc:
+        # typed input errors are ValueErrors and a StabilityError asks for
+        # a smaller dt: one line with argparse's exit status, no traceback
         parser.exit(2, f"qhdkit {args.command}: error: {exc}\n")
 
 

@@ -54,8 +54,8 @@ import numpy as np
 from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _require_count, discretize_objective, kron_sum,
-                   success_mask, uniform_state, within_radius)
+                   _require_count, _require_real, discretize_objective,
+                   kron_sum, success_mask, uniform_state, within_radius)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -125,13 +125,6 @@ def _anneal_schedule(g) -> Schedule:
                     anneal_fraction=g)
 
 
-def _positive_horizon(horizon) -> float:
-    T = float(horizon)
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    return T
-
-
 def _piecewise_schedule(knots) -> Schedule:
     knots = tuple((float(t), float(s)) for t, s in knots)
     ts = np.array([t for t, _ in knots])
@@ -146,15 +139,13 @@ def _piecewise_schedule(knots) -> Schedule:
 
 
 def _nesterov_nonconvex(stepsize=1e-3) -> Schedule:
-    s = float(stepsize)
-    if s <= 0:
-        raise ValueError("stepsize must be positive")
+    s = _require_real("stepsize", stepsize)
     return Schedule(kinetic_coeff=lambda t: 2.0 / (s + t ** 3),
                     potential_coeff=lambda t: 2.0 * t ** 3)
 
 
 def _local_adiabatic(horizon) -> Schedule:
-    T = _positive_horizon(horizon)
+    T = _require_real("horizon", horizon)
     # fraction whose rate tracks the squared instantaneous gap of the
     # unstructured-search model over N = 2^12 levels; closed form via
     # arctan inversion
@@ -170,7 +161,7 @@ _BUILTINS = {
         alpha=lambda t: np.log(2.0 / t), beta=lambda t: 2.0 * np.log(t),
         gamma=lambda t: 2.0 * np.log(t)),
     "linear_qaa": lambda horizon: _piecewise_schedule(
-        [(0.0, 0.0), (_positive_horizon(horizon), 1.0)]),
+        [(0.0, 0.0), (_require_real("horizon", horizon), 1.0)]),
     "custom_piecewise": _piecewise_schedule,
     "local_adiabatic": _local_adiabatic,
     "raw": lambda kinetic, potential: Schedule(kinetic, potential),
@@ -268,8 +259,8 @@ class Trajectory:
 def _step_count(t0, T, dt) -> int:
     """Number of steps of size dt from t0 to T; the span must hold a whole
     number of steps (within 1e-6) so the horizon is never silently moved."""
-    if dt <= 0 or T <= t0:
-        raise ValueError("need dt > 0 and T > t0")
+    _require_real("dt", dt)
+    _require_real("T - t0", T - t0)
     m = (T - t0) / dt
     n = int(round(m))
     if abs(m - n) > 1e-6:

@@ -24,7 +24,7 @@ from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
                        relaxed_adjacency)
 from .errors import DomainError, ResourceError, StabilityError
 from .mesh import (DIRICHLET, Mesh, _is_integer, _require_count,
-                   success_mask)
+                   _require_real, success_mask)
 from .objectives import QpInstance, qp_objective
 
 #: dense 2^n feasibility cap for oracle-side constructions
@@ -32,6 +32,29 @@ DENSE_QUBITS_CAP = 14
 
 #: grid-size cap for the relaxed reference evolution
 RELAXED_GRID_CAP = 100_000
+
+
+def _checked_terms(n, linear, offset, pairs, upper):
+    """``linear`` as a flat float array, once ``n`` is an integer >= 1 with
+    n linear terms, all coefficients are finite and the keys of ``pairs``
+    integer pairs in [0, n), ascending when ``upper`` and else descending."""
+    _require_count("n", n)
+    lin = np.asarray(linear, dtype=float).reshape(-1)
+    if lin.size != n:
+        raise ValueError(f"expected {n} linear terms, got {lin.size}")
+    vals = np.fromiter(pairs.values(), dtype=float, count=len(pairs))
+    if not (np.all(np.isfinite(lin)) and np.isfinite(offset)
+            and np.all(np.isfinite(vals))):
+        raise ValueError("coefficients must be finite")
+    keys = np.array([*pairs] or np.zeros((0, 2), int))
+    if keys.dtype.kind != "i" or keys.shape[1:] != (2,):
+        raise ValueError("pair keys must be integer pairs (j, k)")
+    lo, hi = keys.T if upper else keys.T[::-1]
+    bad = np.flatnonzero((lo < 0) | (lo >= hi) | (hi >= n))
+    if bad.size:
+        raise ValueError(f"key {[*pairs][bad[0]]} is not "
+                         f"{'upper' if upper else 'lower'}-triangular")
+    return lin
 
 
 @dataclass(frozen=True)
@@ -47,16 +70,7 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float).reshape(-1)
-        if h.size != self.n:
-            raise ValueError("h has wrong length")
-        if not np.all(np.isfinite(h)) or not np.isfinite(self.offset):
-            raise ValueError("coefficients must be finite")
-        for (j, k), v in self.J.items():
-            if not (0 <= k < j < self.n):
-                raise ValueError(f"J key {(j, k)} is not lower-triangular")
-            if not np.isfinite(v):
-                raise ValueError("coefficients must be finite")
+        h = _checked_terms(self.n, self.h, self.offset, self.J, upper=False)
         object.__setattr__(self, "h", h)
 
 
@@ -73,17 +87,8 @@ class QuboModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        lin = np.asarray(self.linear, dtype=float).reshape(-1)
-        if lin.size != self.n:
-            raise ValueError("linear has wrong length")
-        if not np.all(np.isfinite(lin)) or not np.isfinite(self.offset):
-            raise ValueError("coefficients must be finite")
-        for (j, k), v in self.quadratic.items():
-            if not (0 <= j < k < self.n):
-                raise ValueError(
-                    f"quadratic key {(j, k)} is not upper-triangular")
-            if not np.isfinite(v):
-                raise ValueError("coefficients must be finite")
+        lin = _checked_terms(self.n, self.linear, self.offset, self.quadratic,
+                             upper=True)
         object.__setattr__(self, "linear", lin)
 
 
@@ -151,8 +156,8 @@ class AnnealEnvelope:
     b_over_h: object
 
     def __post_init__(self):
-        if self.time_dilation <= 0 or self.t_f <= 0:
-            raise ValueError("time dilation and duration must be positive")
+        _require_real("time_dilation", self.time_dilation)
+        _require_real("t_f", self.t_f)
 
     @property
     def effective_time(self) -> float:
@@ -444,9 +449,9 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
     (2,)*n grid, where ``relaxed_adjacency(1, 1)`` is sigma_x. The
     programmable part carries no constant offset; relative to an encoded
     reference evolution that difference is a global phase and leaves all
-    probabilities unchanged. An ``n_vars`` that does not divide n raises
-    ``ValueError`` before any step, a norm drift beyond 1e-8 at one of
-    about 50 checks ``StabilityError``.
+    probabilities unchanged. An ``n_vars`` not dividing n or an envelope
+    of another ``t_f`` raises ``ValueError`` before any step, a norm drift
+    beyond 1e-8 at one of about 50 checks ``StabilityError``.
 
     Returns (final_state, marginals) where marginals[k][j] is the
     probability of block-k Hamming weight j.
@@ -456,6 +461,8 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
         raise ResourceError(f"{n} qubits exceed the dense cap")
     weights = block_weights(n, n_vars)   # rejects a bad n_vars up front
     if isinstance(env, AnnealEnvelope):
+        if env.t_f != t_f:
+            raise ValueError(f"t_f = {t_f!r} but env.t_f = {env.t_f!r}")
         a_fn, b_fn = env.a_over_h, env.b_over_h
     else:
         a_fn, b_fn = env

@@ -37,6 +37,17 @@ def _require_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _require_real(name: str, value, *, strict=True) -> float:
+    """``value`` as a float; raise ``ValueError`` naming ``name`` unless it
+    is a real number (bools are not), finite and > 0 (>= 0 when not
+    ``strict``)."""
+    if not ((_is_integer(value) or isinstance(value, (float, np.floating)))
+            and (0 < value if strict else 0 <= value) and value < np.inf):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='}"
+                         f" 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Regular grid over [0, 1]^dim.
@@ -215,8 +226,7 @@ def uniform_state(mesh: Mesh) -> WaveFunction:
 def gaussian_state(mesh: Mesh, center, variance: float) -> WaveFunction:
     """State whose node density is the isotropic Gaussian of the given
     (density) variance centered at ``center``, renormalized; phase is zero."""
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    _require_real("variance", variance)
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.size != mesh.dim:
         raise ValueError("center has wrong dimension")
@@ -269,8 +279,7 @@ def within_radius(points, x_star, radius: float) -> np.ndarray:
     Euclidean ``radius`` of ``x_star``; ties at exactly the radius are
     excluded with a relative guard of 1e-12 against coordinate noise. A
     radius that is not finite and positive raises ``ValueError``."""
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    _require_real("radius", radius)
     d = np.linalg.norm(points - np.asarray(x_star, dtype=float), axis=-1)
     return d < radius * (1.0 - 1e-12)
 

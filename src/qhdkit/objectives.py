@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .mesh import _require_real
+
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -59,9 +61,7 @@ def _unit_box(f: Objective, per_length: bool) -> Objective:
     if f.f_min is None:
         raise ValueError("rescaling requires a known minimum value")
     a, b = f.domain
-    if a >= b:
-        raise ValueError(f"invalid domain [{a}, {b}]")
-    L = b - a
+    L = _require_real("domain width b - a", b - a)
     f_min = f.f_min
 
     def ev(u):

@@ -30,7 +30,8 @@ import numpy as np
 from .dynamics import Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _is_integer, build_fdm_operators, discretize_objective)
+                   _is_integer, _require_real, build_fdm_operators,
+                   discretize_objective)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -263,8 +264,9 @@ def semiclassical_ratio(omega) -> float:
     omega = np.asarray(omega, dtype=float)
     if omega.size != 2:
         raise DomainError("closed form implemented for dimension 2 only")
-    w1, w2 = omega
-    if w2 <= 0 or w1 < w2:
+    w1, w2 = omega.tolist()
+    _require_real("w2", w2)
+    if not w2 <= w1 < np.inf:
         raise ValueError("frequencies must be positive and sorted descending")
     return float((w1 + 3.0 * w2) / (w1 + w2))
 

@@ -79,6 +79,7 @@ def test_classical_command(tmp_path):
     (["--runs", "0"], "at least one run"),
     (["--radius", "-1"], "radius"),
     (["--iters", "-1"], "steps"),
+    (["--step", "inf"], "stepsize must be finite and > 0, got inf"),
 ])
 def test_classical_rejects_bad_input_before_any_iteration(
         flags, why, tmp_path, monkeypatch, capsys):
@@ -95,6 +96,23 @@ def test_classical_rejects_bad_input_before_any_iteration(
             main(["classical", "--algo", algo, "--iters", "5", "--runs", "3",
                   *flags, "--out", str(tmp_path)])
     assert not (tmp_path / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["simulate-qhd", "--resolution", "8", "--T", "inf"],
+     "T - t0 must be finite and > 0, got inf"),
+    (["tts", "--tf", "nan", "--ps", "0.5"],
+     "t_f must be finite and > 0, got nan"),
+    (["simulate-qaa", "--bits", "4", "--T", "1", "--dt", "0.5"],
+     "exceeds pi; reduce dt"),
+], ids=["simulate-qhd-T-inf", "tts-tf-nan", "simulate-qaa-dt-0.5"])
+def test_bad_real_inputs_end_on_one_line(argv, why, tmp_path, capsys):
+    # simulate-qhd used to end in an OverflowError traceback, tts printed
+    # nan and exited 0, and simulate-qaa's StabilityError was a traceback
+    out = tmp_path / "out"
+    with _input_error(capsys, argv[0], why):
+        main(argv if argv[0] == "tts" else argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 def test_qp_gen_and_encode_roundtrip(tmp_path):

@@ -135,7 +135,7 @@ def test_make_schedule_rejects_unknown_and_missing_keys(kind, params, key):
         qk.make_schedule(kind, **params)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -5.0])
+@pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf])
 @pytest.mark.parametrize("kind", ["linear_qaa", "local_adiabatic"])
 def test_annealing_schedules_reject_nonpositive_horizon(kind, horizon):
     with pytest.raises(ValueError, match="horizon"):
@@ -455,6 +455,19 @@ def test_engines_reject_fractional_step_count(engine):
     with pytest.raises(StepGridError):
         _run_engine(engine, 1.0, 0.03)
     _run_engine(engine, 0.9, 0.03)   # a whole number of steps runs
+
+
+@pytest.mark.parametrize("engine", ["qhd", "relaxed", "qaa", "dense"])
+@pytest.mark.parametrize("T, dt, name", [(math.inf, 0.1, "T - t0"),
+                                         (1.0, math.nan, "dt")],
+                         ids=["T-inf", "dt-nan"])
+def test_engines_reject_non_finite_horizon_or_step(engine, T, dt, name):
+    # T = inf used to end in an OverflowError from the step count and
+    # dt = nan in numpy's "cannot convert float NaN to integer"; the QAA
+    # schedule takes T as its horizon and names that first
+    with pytest.raises(ValueError,
+                       match=rf"^({name}|horizon) must be finite and > 0, "):
+        _run_engine(engine, T, dt)
 
 
 @pytest.mark.parametrize("engine", ["qhd", "relaxed", "qaa"])

@@ -669,6 +669,18 @@ def test_dense_machine_rejects_bad_n_vars_before_any_step(n_vars):
                                 n_vars=n_vars)
 
 
+def test_dense_machine_rejects_envelope_of_another_duration():
+    # the run used to stop at the t_f argument and ignore the envelope's
+    def never(t):
+        raise AssertionError("the evolution started")
+
+    env = qk.AnnealEnvelope(time_dilation=1.0, t_f=5.0, a_over_h=never,
+                            b_over_h=never)
+    model = qk.IsingModel(n=2, h=np.ones(2), J={}, offset=0.0)
+    with pytest.raises(ValueError, match=r"^t_f = 1\.0 but env\.t_f = 5\.0$"):
+        qk.simulate_ising_dense(model, env, 1.0, 1e-2)
+
+
 def test_dense_machine_cap():
     model = qk.IsingModel(n=15, h=np.zeros(15), J={}, offset=0.0)
     with pytest.raises(ResourceError):
@@ -767,3 +779,101 @@ def test_model_key_validation():
         qk.IsingModel(n=3, h=np.zeros(3), J={(0, 1): 1.0})
     with pytest.raises(ValueError):
         qk.QuboModel(n=3, linear=np.zeros(3), quadratic={(1, 0): 1.0})
+    # the first bad key in dict order is the one named
+    with pytest.raises(ValueError, match=r"key \(0, 2\) is not lower-tri"):
+        qk.IsingModel(n=3, h=np.zeros(3),
+                      J={(1, 0): 1.0, (0, 2): 1.0, (0, 1): 1.0})
+    with pytest.raises(ValueError, match=r"key \(2, 3\) is not upper-tri"):
+        qk.QuboModel(n=3, linear=np.zeros(3),
+                     quadratic={(0, 1): 1.0, (2, 3): 1.0})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        qk.QuboModel(n=3, linear=np.zeros(3),
+                     quadratic={(0, 1): 1.0, (1, 2): np.nan})
+
+
+@pytest.mark.parametrize("build, why", [
+    (lambda: qk.IsingModel(n=True, h=[0.0], J={}),
+     r"^n must be an integer >= 1, got True$"),
+    (lambda: qk.IsingModel(n=2, h=np.zeros(2), J={(1.0, 0.0): 1.0}),
+     "integer pairs"),
+    (lambda: qk.QuboModel(n=2, linear=np.zeros(2),
+                          quadratic={(0.0, 1.0): 1.0}), "integer pairs"),
+    (lambda: qk.QuboModel(n=3, linear=np.zeros(3),
+                          quadratic={(0, 1): 1.0, (1.0, 2): 1.0}),
+     "integer pairs"),
+    (lambda: qk.QuboModel(n=2, linear=np.zeros(2), quadratic={0: 1.0}),
+     "integer pairs"),
+], ids=["ising-n-bool", "ising-float-key", "qubo-float-key",
+        "qubo-one-float-key", "qubo-int-key"])
+def test_models_reject_non_integer_sizes_and_keys(build, why):
+    # each used to build, a float key failing later as an IndexError in the
+    # energy table, or to raise a TypeError
+    with pytest.raises(ValueError, match=why):
+        build()
+
+
+_COEFF = st.one_of(st.just(0.0), st.just(-0.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _model_cases(draw):
+    """A model of either kind on n = vars * bits qubits with finite
+    coefficients, zeros of both signs included, and a layout or None."""
+    dim, bits = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = dim * bits
+    upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(upper), unique=True)
+                  if upper else st.just([]))
+    quad = {key: draw(_COEFF) for key in chosen}
+    lin = np.array(draw(st.lists(_COEFF, min_size=n, max_size=n)))
+    offset = draw(_COEFF)
+    if draw(st.booleans()):
+        model = qk.QuboModel(n=n, linear=lin, quadratic=quad, offset=offset)
+    else:
+        model = qk.IsingModel(n=n, h=lin, offset=offset,
+                              J={(k, j): v for (j, k), v in quad.items()})
+    encoding = draw(st.sampled_from([None, "hamming", "radix2"]))
+    layout = (None if encoding is None
+              else getattr(qk.PrecisionLayout, encoding)(dim, bits))
+    return model, layout
+
+
+@given(_model_cases())
+@settings(max_examples=60, deadline=None)
+def test_model_file_round_trip_property(case):
+    model, layout = case
+    text = format_model(model, layout)
+    back, back_layout = parse_model(text)
+    assert type(back) is type(model) and back.n == model.n
+    if isinstance(model, qk.QuboModel):
+        assert np.array_equal(back.linear, model.linear)
+        assert back.quadratic == model.quadratic
+    else:
+        assert np.array_equal(back.h, model.h)
+        assert back.J == model.J
+    assert back.offset == model.offset
+    if layout is None:
+        assert back_layout is None
+    else:
+        assert (back_layout.encoding, back_layout.dim,
+                back_layout.bits_per_var) == (layout.encoding, layout.dim,
+                                              layout.bits_per_var)
+        assert np.array_equal(back_layout.precision, layout.precision)
+    assert format_model(back, back_layout) == text
+
+
+@given(st.sampled_from(["hamming", "radix2"]), st.integers(1, 3),
+       st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_decode_samples_matches_per_bit_decode(encoding, dim, bits, data):
+    layout = getattr(qk.PrecisionLayout, encoding)(dim, bits)
+    strings = data.draw(st.lists(
+        st.text("01", min_size=layout.n, max_size=layout.n), max_size=6))
+    expected = [[sum(w * (c == "1") for w, c in
+                     zip(layout.precision, s[p * bits:(p + 1) * bits]))
+                 for p in range(dim)] for s in strings]
+    got = qk.decode_samples(strings, layout)
+    assert got.shape == (len(strings), dim)
+    np.testing.assert_allclose(got, np.reshape(expected, got.shape),
+                               rtol=0, atol=1e-15)

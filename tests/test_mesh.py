@@ -1,11 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import qhdkit as qk
 from qhdkit.errors import EvaluationError
-from qhdkit.mesh import (_chain_adjacency, kron_sum, lattice_adjacency,
-                         point_mass, success_mask)
+from qhdkit.mesh import (_chain_adjacency, _require_real, kron_sum,
+                         lattice_adjacency, point_mass, success_mask)
 
 
 def test_mesh_node_counts():
@@ -257,6 +260,54 @@ def test_success_probability():
                                   np.sqrt(2.0) + 1e-9) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         qk.success_probability(pm, x_star, 0.0)
+
+
+def test_require_real_bounds_and_types():
+    assert _require_real("x", 2) == 2.0 and type(_require_real("x", 2)) is float
+    assert _require_real("x", np.float32(0.5)) == 0.5
+    assert _require_real("x", 0, strict=False) == 0.0
+    for value in (True, "1.0", None, np.array(1.0), 0.0):
+        with pytest.raises(ValueError, match="^x must be finite and > 0, "):
+            _require_real("x", value)
+    with pytest.raises(ValueError,
+                       match=r"^x must be finite and >= 0, got -1\.0$"):
+        _require_real("x", -1.0, strict=False)
+
+
+def _objective_never_stepped():
+    def never(x):
+        raise AssertionError("an iteration ran")
+
+    return qk.Objective(dim=1, eval_fn=lambda x: np.zeros(len(x)),
+                        grad_fn=never)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qk.tts(math.nan, 0.5), "t_f must be finite and > 0, got nan"),
+    (lambda: qk.tts(math.inf, 0.5), "t_f must be finite and > 0, got inf"),
+    (lambda: qk.make_schedule("nesterov_nonconvex", stepsize=math.nan),
+     "stepsize must be finite and > 0, got nan"),
+    (lambda: qk.make_schedule("nesterov_nonconvex", stepsize=math.inf),
+     "stepsize must be finite and > 0, got inf"),
+    (lambda: qk.AnnealEnvelope(math.nan, 1.0, None, None),
+     "time_dilation must be finite and > 0, got nan"),
+    (lambda: qk.nagd_run(_objective_never_stepped(), [0.5], math.inf, 5),
+     "stepsize must be finite and > 0, got inf"),
+    (lambda: qk.sgd_run(_objective_never_stepped(), [0.5], 0.1, 5,
+                        noise_sigma=math.inf),
+     "noise_sigma must be finite and >= 0, got inf"),
+    (lambda: qk.gaussian_state(qk.Mesh(1, 8, qk.PERIODIC), [0.5], math.nan),
+     "variance must be finite and > 0, got nan"),
+    (lambda: qk.semiclassical_ratio([math.nan, 1.0]),
+     "frequencies must be positive and sorted descending"),
+], ids=["tts-nan", "tts-inf", "nesterov-stepsize-nan",
+        "nesterov-stepsize-inf", "envelope-dilation-nan", "nagd-stepsize-inf",
+        "sgd-noise-inf", "gaussian-variance-nan", "semiclassical-w1-nan"])
+def test_reals_fail_early_naming_the_input(call, message):
+    # each used to return nan or inf, build an object that failed later, or
+    # start iterating with a non-finite step
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])

@@ -290,3 +290,28 @@ def test_qp_json_roundtrip_exact():
     assert np.array_equal(back.b, qp.b)
     doc = json.loads(text)
     assert doc["dim"] == 3
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _qp_instances(draw):
+    d = draw(st.integers(1, 5))
+    vals = draw(st.lists(st.one_of(st.just(0.0), _FINITE),
+                         min_size=d * d, max_size=d * d))
+    upper = np.triu(np.array(vals).reshape(d, d))
+    Q = upper + np.triu(upper, 1).T
+    b = draw(st.lists(_FINITE, min_size=d, max_size=d))
+    return qk.QpInstance(d, sp.csr_matrix(Q), np.array(b))
+
+
+@given(_qp_instances())
+@settings(max_examples=50, deadline=None)
+def test_qp_json_round_trip_property(qp):
+    text = qp.to_json()
+    back = qk.QpInstance.from_json(text)
+    assert back.dim == qp.dim
+    assert np.array_equal(back.Q.toarray(), qp.Q.toarray())
+    assert np.array_equal(back.b, qp.b)
+    assert back.to_json() == text
