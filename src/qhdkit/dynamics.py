@@ -54,8 +54,9 @@ import numpy as np
 from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _require_count, _require_real, discretize_objective,
-                   kron_sum, success_mask, uniform_state, within_radius)
+                   _axis_shapes, _density, _require_count, _require_real,
+                   discretize_objective, kron_sum, success_mask,
+                   uniform_state, within_radius)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -127,6 +128,9 @@ def _anneal_schedule(g) -> Schedule:
 
 def _piecewise_schedule(knots) -> Schedule:
     knots = tuple((float(t), float(s)) for t, s in knots)
+    for i, knot in enumerate(knots):
+        if not np.all(np.isfinite(knot)):
+            raise ValueError(f"knot {i} {knot!r} is not finite")
     ts = np.array([t for t, _ in knots])
     ss = np.array([s for _, s in knots])
     if np.any(np.diff(ts) <= 0):
@@ -290,7 +294,7 @@ class _Recorder:
         self.snap_steps = {}
         for ts in snapshot_times:
             m = (ts - t0) / dt
-            m_int = int(round(m))
+            m_int = round(m) if np.isfinite(m) else 0
             if abs(m - m_int) > 1e-6 or not (1 <= m_int <= self.n_steps):
                 raise StepGridError(
                     f"snapshot time {ts} does not lie on the step grid")
@@ -302,35 +306,43 @@ class _Recorder:
         return step % self.stride == 0 or step == self.n_steps
 
     def observe(self, step: int, prob: np.ndarray):
-        """Record the observables of the density ``prob`` after ``step``."""
+        """Record the observables of the density ``prob`` after ``step``;
+        the E[f] product overwrites ``prob`` once the norm and the success
+        mass are taken."""
         nrm = float(prob.sum())
         if not np.isfinite(nrm):
             raise BlowupError(f"non-finite amplitudes at step {step - 1}",
                               step=step - 1)
         self.times.append(self.t0 + step * self.dt)
         self.norms.append(nrm)
-        self.efs.append(float(np.sum(prob * self.fvals)) / nrm)
         self.sps.append(float(np.sum(prob[self.smask])) / nrm
                         if self.smask is not None else np.nan)
+        self.efs.append(float(np.sum(np.multiply(prob, self.fvals, out=prob)))
+                        / nrm)
 
     def record(self, step: int, psi: np.ndarray):
-        """Observables on due steps and a snapshot on snapshot steps."""
+        """Observables on due steps and a snapshot on snapshot steps; a
+        snapshot is a normalized copy, as the engine goes on stepping
+        ``psi``."""
         if self.due(step):
-            self.observe(step, np.abs(psi) ** 2)
+            self.observe(step, _density(psi))
         if step in self.snap_steps:
-            self._snapshot(self.snap_steps[step], psi)
+            self._snapshot(self.snap_steps[step],
+                           psi / np.sqrt(np.sum(_density(psi))))
 
-    def _snapshot(self, t, psi):
-        amp = (psi / np.sqrt(np.sum(np.abs(psi) ** 2))).reshape(-1)
+    def _snapshot(self, t, amp):
+        amp = amp.reshape(-1)
         self.snap_ts.append(t)
         self.snaps.append(amp if self.mesh is None
                           else WaveFunction(self.mesh, amp))
 
     def finish(self, psi: np.ndarray) -> Trajectory:
         """The trajectory, with ``psi`` as the final snapshot at T unless a
-        snapshot was already recorded there."""
+        snapshot was already recorded there. The engine is done with
+        ``psi``, so that snapshot is ``psi`` itself, normalized in place."""
         t_end = self.t0 + self.n_steps * self.dt
         if not self.snap_ts or abs(self.snap_ts[-1] - t_end) > 1e-9:
+            psi /= np.sqrt(np.sum(_density(psi)))
             self._snapshot(t_end, psi)
         return Trajectory(times=np.array(self.times),
                           observables={"Ef": np.array(self.efs),
@@ -466,12 +478,6 @@ def _axis_kinetic_eigenvalues(n: int) -> np.ndarray:
     return 0.5 * (2.0 * np.pi * k) ** 2
 
 
-def _axis_shapes(dim: int) -> list:
-    """Broadcast shapes that lay a 1-D array along each axis of a d-grid."""
-    return [tuple(-1 if a == ax else 1 for a in range(dim))
-            for ax in range(dim)]
-
-
 def kinetic_eigenvalues(mesh: Mesh) -> np.ndarray:
     """Eigenvalues of -(1/2) Laplacian per Fourier mode on a periodic mesh,
     shaped like the grid."""
@@ -512,11 +518,15 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     phases with per-step coefficients from the schedule.
 
     The state is stepped in place in one complex grid. The potential phase
-    is written as cos/sin of its angle into a complex buffer made once per
-    call; the FFTs overwrite the state. The kinetic eigenvalue is a sum over
-    axes, so its phase is a product of one length-N phase per axis, built
-    once per step and multiplied in along each axis in turn. ``psi0`` is
-    left unchanged.
+    lives in one complex buffer made once per call: its angle is written
+    into the imaginary part, cos of it into the real part, then sin in
+    place. The FFTs overwrite the state. The kinetic eigenvalue is a sum
+    over axes, so its phase is a product of one length-N phase per axis,
+    built once per step and multiplied in along each axis in turn. So a
+    run holds two full complex grids, the state and the phase, and one
+    float density at each observation, which its E[f] product overwrites;
+    the final state is normalized in place and returned as the last
+    snapshot. ``psi0`` is left unchanged.
 
     Each step runs in four stages, each on independent slabs of the grid:
     (a) the potential phase, then the FFTs along axes d-1, ..., 1, on slabs
@@ -553,21 +563,20 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     inner_axes = range(last, 0, -1)
     psi = (psi0.amplitudes if psi0 is not None
            else uniform_state(mesh).amplitudes).reshape(mesh.shape).copy()
-    angle = np.empty(mesh.shape)
     phase = np.empty(mesh.shape, dtype=complex)
     k = _slab_count(mesh)
     cuts = [n * i // k for i in range(k + 1)]
     # views made once: a row slab of each array, and a column slab of the
     # state with its range of the last axis
-    rows = [(psi[a:b], fvals[a:b], angle[a:b], phase[a:b])
+    rows = [(psi[a:b], fvals[a:b], phase[a:b])
             for a, b in zip(cuts, cuts[1:])]
     cols = [(psi[..., a:b], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
 
     def potential_then_inner_ffts(row, coeff):
-        part, f_part, a_part, p_part = row
-        np.multiply(coeff, f_part, out=a_part)
-        np.cos(a_part, out=p_part.real)
-        np.sin(a_part, out=p_part.imag)
+        part, f_part, p_part = row
+        np.multiply(coeff, f_part, out=p_part.imag)
+        np.cos(p_part.imag, out=p_part.real)
+        np.sin(p_part.imag, out=p_part.imag)
         part *= p_part
         for ax in inner_axes:
             np.fft.fft(part, axis=ax, out=part)

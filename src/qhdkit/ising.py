@@ -23,7 +23,7 @@ from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
                        _step_count, _strang_evolve, binomial_state,
                        relaxed_adjacency)
 from .errors import DomainError, ResourceError, StabilityError
-from .mesh import (DIRICHLET, Mesh, _is_integer, _require_count,
+from .mesh import (DIRICHLET, Mesh, _density, _is_integer, _require_count,
                    _require_real, success_mask)
 from .objectives import QpInstance, qp_objective
 
@@ -476,7 +476,7 @@ def simulate_ising_dense(model: IsingModel, env, t_f: float, dt: float, *,
     if drift > 1e-8:
         raise StabilityError(f"norm drift {drift:.2e}")
     flat = psi.reshape(-1)
-    prob = np.abs(flat) ** 2
+    prob = _density(flat)
     return flat, [np.bincount(w, weights=prob, minlength=n // n_vars + 1)
                   for w in weights.T]
 

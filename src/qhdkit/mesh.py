@@ -48,6 +48,19 @@ def _require_real(name: str, value, *, strict=True) -> float:
     return float(value)
 
 
+def _axis_shapes(dim: int) -> list:
+    """Broadcast shapes that lay a 1-D array along each axis of a d-grid."""
+    return [tuple(-1 if a == ax else 1 for a in range(dim))
+            for ax in range(dim)]
+
+
+def _density(amp: np.ndarray) -> np.ndarray:
+    """|amp|^2 as one new float array: ``abs``, then squared in place, the
+    same bits as ``np.abs(amp) ** 2`` without its second temporary."""
+    out = np.abs(amp)
+    return np.square(out, out=out)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Regular grid over [0, 1]^dim.
@@ -88,9 +101,14 @@ class Mesh:
         return np.arange(self.nodes_per_edge) / self.cells_per_edge
 
     def node_coords(self) -> np.ndarray:
-        """All node coordinates as a (size, dim) array in flat-index order."""
-        axes = np.meshgrid(*([self.axis_coords()] * self.dim), indexing="ij")
-        return np.stack([a.reshape(-1) for a in axes], axis=1)
+        """All node coordinates as a (size, dim) array in flat-index order,
+        each axis broadcast into its column of the one output array."""
+        axis = self.axis_coords()
+        out = np.empty((self.size, self.dim))
+        grid = out.reshape(self.shape + (self.dim,))
+        for k, shape in enumerate(_axis_shapes(self.dim)):
+            grid[..., k] = axis.reshape(shape)
+        return out
 
     def flat_index(self, multi) -> int:
         return int(np.ravel_multi_index(tuple(multi), self.shape))
@@ -114,12 +132,12 @@ class WaveFunction:
         if amp.size != self.mesh.size:
             raise ValueError(
                 f"expected {self.mesh.size} amplitudes, got {amp.size}")
-        nrm = np.sum(np.abs(amp) ** 2)
+        nrm = np.sum(_density(amp))
         if not np.isfinite(nrm) or abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"wavefunction is not unit norm: sum|c|^2 = {nrm}")
 
     def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return _density(self.amplitudes)
 
     def to_json(self) -> str:
         doc = {
@@ -223,6 +241,45 @@ def uniform_state(mesh: Mesh) -> WaveFunction:
     return WaveFunction(mesh, amp)
 
 
+def _row_sum(terms):
+    """Sum of arrays laid along disjoint grid axes (broadcast over the
+    others) in the order ``np.sum(a, axis=-1)`` adds the columns of an
+    (..., len(terms)) array: in turn below eight terms; else numpy's
+    pairwise tree, eight running sums over every eighth term combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), the remainder added in turn, and halves
+    cut at a multiple of eight above 128 terms. So the sum has the same
+    bits as numpy's row sum. Each addition joins disjoint axes, so no
+    operand is as large as the result."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return total
+    r = list(terms[:8])
+    i = 8
+    while i < n - n % 8:
+        r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        i += 8
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[i:]:
+        total = total + t
+    return total
+
+
+def _sq_dist_grid(mesh: Mesh, point: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every node to ``point`` (one float
+    per axis), shaped like the grid: each axis's 1-D squared differences,
+    added in the order of ``np.sum((mesh.node_coords() - point) ** 2,
+    axis=1)`` so the bits match it, with no (size, dim) temporary."""
+    axis = mesh.axis_coords()
+    return _row_sum([((axis - p) ** 2).reshape(shape)
+                     for p, shape in zip(point, _axis_shapes(mesh.dim))])
+
+
 def gaussian_state(mesh: Mesh, center, variance: float) -> WaveFunction:
     """State whose node density is the isotropic Gaussian of the given
     (density) variance centered at ``center``, renormalized; phase is zero."""
@@ -230,19 +287,28 @@ def gaussian_state(mesh: Mesh, center, variance: float) -> WaveFunction:
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.size != mesh.dim:
         raise ValueError("center has wrong dimension")
-    if np.any(center < 0.0) or np.any(center > 1.0):
+    for c in center.tolist():
+        _require_real("center", c, strict=False)
+    if np.any(center > 1.0):
         raise ValueError(f"center {center} lies outside [0,1]^d")
-    coords = mesh.node_coords()
-    d2 = np.sum((coords - center) ** 2, axis=1)
-    density = np.exp(-d2 / (2.0 * variance))
-    amp = np.sqrt(density / np.sum(density)).astype(complex)
+    density = _sq_dist_grid(mesh, center).reshape(-1)
+    np.negative(density, out=density)
+    density /= 2.0 * variance
+    np.exp(density, out=density)
+    density /= np.sum(density)
+    amp = np.sqrt(density, out=density).astype(complex)
     return WaveFunction(mesh, amp)
 
 
 def point_mass(mesh: Mesh, point) -> WaveFunction:
-    """State concentrated on the mesh node nearest to ``point``."""
-    coords = mesh.node_coords()
-    idx = int(np.argmin(np.sum((coords - np.asarray(point)) ** 2, axis=1)))
+    """State concentrated on the mesh node nearest to ``point``; the first
+    in flat order on a tie. A ``point`` that is not ``mesh.dim`` finite
+    coordinates raises ``ValueError``."""
+    point = np.asarray(point, dtype=float).reshape(-1)
+    if point.size != mesh.dim or not np.all(np.isfinite(point)):
+        raise ValueError(f"point must have {mesh.dim} finite coordinates, "
+                         f"got {point.tolist()!r}")
+    idx = int(np.argmin(_sq_dist_grid(mesh, point)))
     amp = np.zeros(mesh.size, dtype=complex)
     amp[idx] = 1.0
     return WaveFunction(mesh, amp)
@@ -274,16 +340,31 @@ def success_probability(psi: WaveFunction, x_star, radius: float) -> float:
     return float(np.sum(psi.density()[success_mask(psi.mesh, x_star, radius)]))
 
 
+def _inside(dist, radius) -> np.ndarray:
+    """``dist < radius`` with ties excluded under a relative guard of
+    1e-12 against coordinate noise."""
+    return dist < radius * (1.0 - 1e-12)
+
+
 def within_radius(points, x_star, radius: float) -> np.ndarray:
     """Mask of the points (last axis = coordinates) strictly within
     Euclidean ``radius`` of ``x_star``; ties at exactly the radius are
     excluded with a relative guard of 1e-12 against coordinate noise. A
     radius that is not finite and positive raises ``ValueError``."""
     _require_real("radius", radius)
-    d = np.linalg.norm(points - np.asarray(x_star, dtype=float), axis=-1)
-    return d < radius * (1.0 - 1e-12)
+    return _inside(np.linalg.norm(points - np.asarray(x_star, dtype=float),
+                                  axis=-1), radius)
 
 
 def success_mask(mesh: Mesh, x_star, radius: float) -> np.ndarray:
-    """Boolean node mask used by evolution loops to track success mass."""
-    return within_radius(mesh.node_coords(), x_star, radius)
+    """Boolean node mask used by evolution loops to track success mass:
+    ``within_radius(mesh.node_coords(), x_star, radius)``, bit for bit,
+    from one float grid of distances. An ``x_star`` that is not
+    ``mesh.dim`` coordinates raises ``ValueError``."""
+    _require_real("radius", radius)
+    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    if x_star.size != mesh.dim:
+        raise ValueError(f"x_star must have {mesh.dim} coordinates, "
+                         f"got {x_star.tolist()!r}")
+    dist = _sq_dist_grid(mesh, x_star).reshape(-1)
+    return _inside(np.sqrt(dist, out=dist), radius)

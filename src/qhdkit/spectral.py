@@ -30,8 +30,8 @@ import numpy as np
 from .dynamics import Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _is_integer, _require_real, build_fdm_operators,
-                   discretize_objective)
+                   _axis_shapes, _density, _is_integer, _require_real,
+                   build_fdm_operators, discretize_objective)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -272,13 +272,17 @@ def semiclassical_ratio(omega) -> float:
 
 
 def _momentum_apply(grid: np.ndarray, axis: int) -> np.ndarray:
-    """-i d/dx along one axis of a periodic grid via spectral differentiation."""
+    """-i d/dx along one axis of a periodic grid via spectral
+    differentiation, as one new array: the FFT, scaled by 2 pi k and
+    inverse-transformed in place."""
     n = grid.shape[axis]
     k = np.fft.fftfreq(n, d=1.0 / n)
-    shape = [1] * grid.ndim
-    shape[axis] = n
-    return np.fft.ifft(2.0 * np.pi * k.reshape(shape)
-                       * np.fft.fft(grid, axis=axis), axis=axis)
+    out = np.fft.fft(grid, axis=axis)
+    # the wavenumbers first: numpy's complex product is not bitwise
+    # symmetric in its operands
+    np.multiply(2.0 * np.pi * k.reshape(_axis_shapes(grid.ndim)[axis]), out,
+                out=out)
+    return np.fft.ifft(out, axis=axis, out=out)
 
 
 def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
@@ -301,11 +305,13 @@ def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
     coords = psi.mesh.axis_coords()
     e_neg_gamma = np.exp(-sched.gamma(t))
     j_sq = 0.0
-    for ax in range(psi.mesh.dim):
-        shape = [1] * psi.mesh.dim
-        shape[ax] = coords.size
+    for ax, shape in enumerate(_axis_shapes(psi.mesh.dim)):
         xc = (coords - center[ax]).reshape(shape)
-        j_psi = e_neg_gamma * _momentum_apply(grid, ax) + xc * grid
-        j_sq += float(np.sum(np.abs(j_psi) ** 2))
+        # J psi formed in the momentum's array, each product's operands in
+        # the order of e^-gamma p psi + (x - x*) psi
+        j_psi = _momentum_apply(grid, ax)
+        np.multiply(e_neg_gamma, j_psi, out=j_psi)
+        j_psi += xc * grid
+        j_sq += float(np.sum(_density(j_psi)))
     ef = float(np.sum(f.values * psi.density()))
     return 0.5 * j_sq + float(np.exp(sched.beta(t))) * ef

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +281,42 @@ def test_qhd_evolve_leaves_psi0_and_snapshots_alone():
     assert not np.allclose(amps[0], amps[1])
     assert not any(np.shares_memory(a, b) for i, a in enumerate(amps)
                    for b in amps[i + 1:])
+
+
+def _working_memory(call) -> int:
+    """Peak bytes ``call()`` allocates above what is held on entry, as
+    tracemalloc counts them (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("what, bound", [
+    ("qhd_evolve", 3.0), ("lyapunov_W", 2.5), ("gaussian_state", 2.5)])
+def test_working_memory_in_state_sizes(what, bound):
+    # beyond the caller's arrays a split step needs the state and one phase
+    # buffer, and an observation one float density; whole-grid coordinate
+    # tables and copies of the state are what these bounds keep out
+    mesh = qk.Mesh(2, 256, qk.PERIODIC)
+    f = qk.get_objective("levy")
+    fop = qk.discretize_objective(mesh, f)
+    sched = qk.make_schedule("nesterov_three_param")
+    psi = qk.gaussian_state(mesh, [0.4, 0.6], 0.01)
+    call = {
+        "qhd_evolve": lambda: qk.qhd_evolve(
+            mesh, fop, sched, 1.03, 1e-2, t0=1.0, x_star=f.minimizer,
+            observable_stride=1),
+        "lyapunov_W": lambda: qk.lyapunov_W(psi, sched, 1.0, fop,
+                                            f.minimizer),
+        "gaussian_state": lambda: qk.gaussian_state(mesh, [0.4, 0.6], 0.01),
+    }[what]
+    used = _working_memory(call) / psi.amplitudes.nbytes
+    assert used <= bound, f"{what} used {used:.2f} states of working memory"
 
 
 def _fftn_split_steps(mesh, fvals, sched, t0, n_steps, dt, psi):

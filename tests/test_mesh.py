@@ -7,8 +7,9 @@ import scipy.sparse as sp
 
 import qhdkit as qk
 from qhdkit.errors import EvaluationError
-from qhdkit.mesh import (_chain_adjacency, _require_real, kron_sum,
-                         lattice_adjacency, point_mass, success_mask)
+from qhdkit.mesh import (_chain_adjacency, _density, _require_real, _row_sum,
+                         _sq_dist_grid, kron_sum, lattice_adjacency,
+                         point_mass, success_mask, within_radius)
 
 
 def test_mesh_node_counts():
@@ -42,6 +43,89 @@ def test_node_coords_in_unit_box_and_ordering():
     # first axis slowest: flat index 1 is (0, 1), i.e. second coordinate moves
     assert np.allclose(coords[1], [0.0, 0.5])
     assert np.allclose(coords[3], [0.5, 0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_node_coords_bitwise_equal_to_meshgrid_stack(dim):
+    for m in (qk.Mesh(dim, 6, qk.DIRICHLET), qk.Mesh(dim, 7, qk.PERIODIC)):
+        axes = np.meshgrid(*([m.axis_coords()] * dim), indexing="ij")
+        old = np.stack([a.reshape(-1) for a in axes], axis=1)
+        new = m.node_coords()
+        assert new.shape == old.shape and new.flags.c_contiguous
+        assert np.array_equal(new, old)
+
+
+def test_density_bitwise_equal_to_abs_squared():
+    rng = np.random.default_rng(3)
+    amp = (rng.standard_normal(5000) + 1j * rng.standard_normal(5000)) \
+        * 10.0 ** rng.uniform(-150, 150, 5000)
+    assert np.array_equal(_density(amp), np.abs(amp) ** 2)
+
+
+@pytest.mark.parametrize("n", list(range(1, 40)) + [64, 127, 128, 129, 136,
+                                                      200, 257, 300])
+def test_row_sum_keeps_numpy_row_sum_bits(n):
+    # numpy sums rows in turn below 8 columns and pairwise from 8, so the
+    # order is what matters; scales spread over decades make it show
+    rng = np.random.default_rng(n)
+    cols = rng.random((64, n)) * 10.0 ** rng.uniform(-4, 4, (64, n))
+    assert np.array_equal(_row_sum(list(cols.T)), np.sum(cols, axis=1))
+
+
+def _mesh_up_to(dim, nodes, boundary):
+    """The finest mesh of that dimension with at most ``nodes`` nodes."""
+    cells = max(1, int(nodes ** (1.0 / dim)) - (boundary == qk.DIRICHLET))
+    return qk.Mesh(dim, cells, boundary)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_success_mask_bitwise_equal_to_node_coords_formula(dim):
+    rng = np.random.default_rng(100 + dim)
+    for boundary in (qk.DIRICHLET, qk.PERIODIC):
+        m = _mesh_up_to(dim, 6000, boundary)
+        coords = m.node_coords()
+        targets = [rng.uniform(0, 1, dim), coords[rng.integers(m.size)],
+                   np.full(dim, 0.5)]
+        for x_star in targets:
+            assert np.array_equal(_sq_dist_grid(m, x_star).reshape(-1),
+                                  np.sum((coords - x_star) ** 2, axis=1))
+            # radii equal to node distances put nodes exactly on the radius
+            dist = np.linalg.norm(coords - x_star, axis=1)
+            for radius in rng.choice(dist[dist > 0], 5):
+                assert np.array_equal(success_mask(m, x_star, radius),
+                                      within_radius(coords, x_star, radius))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9])
+def test_gaussian_state_and_point_mass_bitwise_equal_to_old_formulas(dim):
+    rng = np.random.default_rng(200 + dim)
+    for boundary in (qk.DIRICHLET, qk.PERIODIC):
+        m = _mesh_up_to(dim, 6000, boundary)
+        coords = m.node_coords()
+        for center, variance in ((rng.uniform(0, 1, dim), 0.02),
+                                 (np.full(dim, 0.5), 3.0)):
+            d2 = np.sum((coords - center) ** 2, axis=1)
+            density = np.exp(-d2 / (2.0 * variance))
+            old = np.sqrt(density / np.sum(density)).astype(complex)
+            new = qk.gaussian_state(m, center, variance).amplitudes
+            assert np.array_equal(new, old)
+        # node midpoints tie between neighbours; the first in flat order wins
+        for point in (rng.uniform(-0.2, 1.2, dim),
+                      (rng.integers(m.nodes_per_edge, size=dim) + 0.5)
+                      / m.cells_per_edge):
+            idx = int(np.argmin(np.sum((coords - point) ** 2, axis=1)))
+            assert point_mass(m, point).amplitudes[idx] == 1.0
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [0.5, np.inf]])
+def test_point_mass_rejects_wrong_length_or_non_finite_point(point):
+    with pytest.raises(ValueError, match="^point must have 2 finite"):
+        point_mass(qk.Mesh(2, 8, qk.PERIODIC), point)
+
+
+def test_success_mask_rejects_wrong_length_x_star():
+    with pytest.raises(ValueError, match="^x_star must have 2 coordinates"):
+        success_mask(qk.Mesh(2, 8, qk.PERIODIC), [0.5], 0.1)
 
 
 def test_fdm_laplacian_1d_r2():
@@ -274,6 +358,13 @@ def test_require_real_bounds_and_types():
         _require_real("x", -1.0, strict=False)
 
 
+def _schedule_never_called():
+    def never(t):
+        raise AssertionError("a step ran")
+
+    return qk.Schedule(kinetic_coeff=never, potential_coeff=never)
+
+
 def _objective_never_stepped():
     def never(x):
         raise AssertionError("an iteration ran")
@@ -300,9 +391,27 @@ def _objective_never_stepped():
      "variance must be finite and > 0, got nan"),
     (lambda: qk.semiclassical_ratio([math.nan, 1.0]),
      "frequencies must be positive and sorted descending"),
+    (lambda: qk.gaussian_state(qk.Mesh(1, 8, qk.PERIODIC), [math.nan], 0.1),
+     "center must be finite and >= 0, got nan"),
+    (lambda: point_mass(qk.Mesh(1, 8, qk.PERIODIC), [math.nan]),
+     "point must have 1 finite coordinates, got [nan]"),
+    (lambda: qk.make_schedule("custom_piecewise",
+                              knots=[(0.0, 0.0), (math.nan, 1.0)]),
+     "knot 1 (nan, 1.0) is not finite"),
+    (lambda: qk.make_schedule("custom_piecewise",
+                              knots=[(0.0, 0.0), (0.5, math.nan), (1.0, 1.0)]),
+     "knot 1 (0.5, nan) is not finite"),
+    (lambda: qk.qhd_evolve(qk.Mesh(1, 8, qk.PERIODIC),
+                           qk.DiagonalOperator(qk.Mesh(1, 8, qk.PERIODIC),
+                                               np.zeros(8)),
+                           _schedule_never_called(), 1.0, 0.1,
+                           snapshot_times=[math.nan]),
+     "snapshot time nan does not lie on the step grid"),
 ], ids=["tts-nan", "tts-inf", "nesterov-stepsize-nan",
         "nesterov-stepsize-inf", "envelope-dilation-nan", "nagd-stepsize-inf",
-        "sgd-noise-inf", "gaussian-variance-nan", "semiclassical-w1-nan"])
+        "sgd-noise-inf", "gaussian-variance-nan", "semiclassical-w1-nan",
+        "gaussian-center-nan", "point-mass-nan", "knot-time-nan",
+        "knot-fraction-nan", "snapshot-time-nan"])
 def test_reals_fail_early_naming_the_input(call, message):
     # each used to return nan or inf, build an object that failed later, or
     # start iterating with a non-finite step

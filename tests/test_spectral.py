@@ -251,6 +251,42 @@ def test_lyapunov_limit_and_lower_bound():
     assert w_limit == pytest.approx(expected, rel=1e-6)
 
 
+def _old_lyapunov_W(psi, sched, t, f, center):
+    """W as the monitor computed it with whole-array temporaries."""
+    center = np.asarray(center, dtype=float).reshape(-1)
+    grid = psi.amplitudes.reshape(psi.mesh.shape)
+    coords = psi.mesh.axis_coords()
+    e_neg_gamma = np.exp(-sched.gamma(t))
+    j_sq = 0.0
+    for ax in range(psi.mesh.dim):
+        shape = [1] * psi.mesh.dim
+        shape[ax] = coords.size
+        xc = (coords - center[ax]).reshape(shape)
+        k = np.fft.fftfreq(coords.size, d=1.0 / coords.size)
+        mom = np.fft.ifft(2.0 * np.pi * k.reshape(shape)
+                          * np.fft.fft(grid, axis=ax), axis=ax)
+        j_psi = e_neg_gamma * mom + xc * grid
+        j_sq += float(np.sum(np.abs(j_psi) ** 2))
+    ef = float(np.sum(f.values * np.abs(psi.amplitudes) ** 2))
+    return 0.5 * j_sq + float(np.exp(sched.beta(t))) * ef
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (2, 30), (3, 12)])
+def test_lyapunov_bitwise_equal_to_old_expression(dim, n):
+    mesh = qk.Mesh(dim, n, qk.PERIODIC)
+    rng = np.random.default_rng(dim * n)
+    amp = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
+    psi = qk.WaveFunction(mesh, amp / np.linalg.norm(amp))
+    f = Objective(dim=dim, eval_fn=lambda x: np.sum(
+        (np.atleast_2d(x) - 0.4) ** 2, axis=1))
+    fop = discretize_objective(mesh, f)
+    sched = qk.make_schedule("nesterov_three_param")
+    center = rng.uniform(0, 1, dim)
+    for t in (0.7, 2.0, 30.0):
+        assert (qk.lyapunov_W(psi, sched, t, fop, center)
+                == _old_lyapunov_W(psi, sched, t, fop, center))
+
+
 def test_lyapunov_requires_three_param_and_periodic():
     mesh = qk.Mesh(1, 16, qk.PERIODIC)
     f = Objective(dim=1, eval_fn=lambda x: np.atleast_2d(x)[:, 0] ** 2)
