@@ -17,14 +17,16 @@ from .classical import _nagd_iterates, _sgd_iterates
 from .dynamics import _step_count, make_schedule
 from .errors import ResourceError
 from .ising import anneal_rescale, relaxed_qhd_evolve
-from .mesh import (DIRICHLET, Mesh, _is_integer, _require_count,
-                   _require_real, sample_positions)
+from .mesh import (DIRICHLET, Mesh, _coord_blocks, _is_integer,
+                   _require_count, _require_real, sample_positions)
 from .objectives import QpInstance, qp_eval_grad, qp_objective
 
 #: two objective values count as the same solution within this gap
 SUCCESS_GAP = 0.01
 
-#: most nodes a brute-force (r+1)^d oracle grid may hold
+#: most nodes a brute-force (r+1)^d oracle grid may hold; the oracles
+#: evaluate the grid in blocks of rows, so the cap bounds their time (about
+#: 0.15 us per node at d = 7 on 2 vCPUs), not their memory
 ORACLE_GRID_CAP = 10 ** 7
 
 #: target confidence of the time-to-solution metric
@@ -126,14 +128,28 @@ def _oracle_grid(dim: int, r: int) -> Mesh:
     return grid
 
 
+def _grid_smallest(qp: QpInstance, r: int, k: int):
+    """The ``k`` nodes of the (r+1)^d oracle grid with the smallest values
+    and those values, ordered as a stable argsort of the whole grid's
+    values orders them: ties go to the lower flat index. The grid is
+    evaluated one block of rows at a time; the best nodes so far have lower
+    flat indices than the block, so they go first into each stable sort.
+    More than ``ORACLE_GRID_CAP`` nodes raise ``ResourceError``."""
+    pts, vals = np.empty((0, qp.dim)), np.empty(0)
+    for _, block in _coord_blocks(_oracle_grid(qp.dim, r)):
+        pts = np.concatenate([pts, block])
+        vals = np.concatenate([vals, qp_eval_grad(qp, block)[0]])
+        keep = np.argsort(vals, kind="stable")[:k]
+        pts, vals = pts[keep], vals[keep]
+    return pts, vals
+
+
 def grid_bruteforce_min(qp: QpInstance, r: int):
     """Exhaustive minimum over the (r+1)^d grid; ties break toward the
     lexicographically first multi-index. More than ``ORACLE_GRID_CAP``
     nodes raise ``ResourceError``."""
-    pts = _oracle_grid(qp.dim, r).node_coords()
-    vals = qp_eval_grad(qp, pts)[0]
-    idx = int(np.argmin(vals))
-    return pts[idx], float(vals[idx])
+    pts, vals = _grid_smallest(qp, r, 1)
+    return pts[0], float(vals[0])
 
 
 def local_refine(qp: QpInstance, x0, tol: float = 1e-8,
@@ -187,10 +203,7 @@ def multistart_refine(qp: QpInstance, r: int, n_starts: int = 64):
     start. More than ``ORACLE_GRID_CAP`` grid nodes raise
     ``ResourceError``."""
     _require_count("n_starts", n_starts)
-    pts = _oracle_grid(qp.dim, r).node_coords()
-    vals = qp_eval_grad(qp, pts)[0]
-    order = np.argsort(vals, kind="stable")[:n_starts]
-    x = local_refine(qp, pts[order])
+    x = local_refine(qp, _grid_smallest(qp, r, n_starts)[0])
     f = qp_eval_grad(qp, x)[0]
     best = int(np.argmin(f))
     return x[best], float(f[best])

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .mesh import _require_count, _require_real, within_radius
+from .mesh import _eval_rows, _require_count, _require_real, within_radius
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ def _start(x0, s, steps):
 
 def _trace(f, pts, s, x0):
     """The trace of the ``(runs, steps+1, d)`` iterates ``pts``, with f on
-    every iterate; the run axis is dropped when ``x0`` was one point."""
-    values = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float)
+    every iterate, one block of iterates per call; the run axis is dropped
+    when ``x0`` was one point."""
+    values = _eval_rows(f, pts.reshape(-1, pts.shape[2]))
     values = values.reshape(pts.shape[:2])
     if np.ndim(x0) == 1:
         pts, values = pts[0], values[0]
@@ -136,7 +137,10 @@ def ensemble_stats(trace: IterateTrace, x_star, radius: float):
                          "points of shape (runs, steps+1, d)")
     if len(trace.points) == 0:
         raise ValueError("empty ensemble")
+    within = _eval_rows(lambda p: within_radius(p, x_star, radius),
+                        trace.points.reshape(-1, trace.points.shape[2]),
+                        dtype=bool)
     # a C-contiguous (runs, steps+1) array reduced over axis 0 adds the runs
     # one after another; other layouts sum pairwise and move the last bits
-    return (within_radius(trace.points, x_star, radius).mean(axis=0),
+    return (within.reshape(trace.values.shape).mean(axis=0),
             trace.values.mean(axis=0))

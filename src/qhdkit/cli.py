@@ -318,9 +318,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, StabilityError) as exc:
-        # typed input errors are ValueErrors and a StabilityError asks for
-        # a smaller dt: one line with argparse's exit status, no traceback
+    except (ValueError, StabilityError, OSError) as exc:
+        # typed input errors are ValueErrors, a StabilityError asks for a
+        # smaller dt and an OSError names a file that cannot be read or
+        # written: one line with argparse's exit status, no traceback
         parser.exit(2, f"qhdkit {args.command}: error: {exc}\n")
 
 

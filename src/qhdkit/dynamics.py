@@ -54,8 +54,8 @@ import numpy as np
 from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _axis_shapes, _density, _require_count, _require_real,
-                   discretize_objective, kron_sum, success_mask,
+                   _axis_shapes, _density, _eval_rows, _require_count,
+                   _require_real, discretize_objective, kron_sum, success_mask,
                    uniform_state, within_radius)
 
 if TYPE_CHECKING:
@@ -660,7 +660,7 @@ def radix2_problem(f, bits_per_var: int) -> Radix2Problem:
     if n > 24:
         raise ResourceError(f"dense radix-2 table infeasible for {n} bits")
     points = Mesh(dim, 2 ** bits_per_var, PERIODIC).node_coords()
-    diag = np.asarray(f(points), dtype=float)
+    diag = _eval_rows(f, points)
     return Radix2Problem(dim=dim, bits_per_var=bits_per_var, diag=diag,
                          points=points)
 

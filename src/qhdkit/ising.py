@@ -24,7 +24,7 @@ from .dynamics import (STRANG_BLOCK_CAP, Schedule, Trajectory, _Recorder,
                        relaxed_adjacency)
 from .errors import DomainError, ResourceError, StabilityError
 from .mesh import (DIRICHLET, Mesh, _density, _is_integer, _require_count,
-                   _require_real, success_mask)
+                   _require_real, discretize_objective, success_mask)
 from .objectives import QpInstance, qp_objective
 
 #: dense 2^n feasibility cap for oracle-side constructions
@@ -429,7 +429,8 @@ def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
     mesh = Mesh(qp.dim, r, DIRICHLET)
     if mesh.size > RELAXED_GRID_CAP:
         raise ResourceError(f"grid of {mesh.size} nodes exceeds the cap")
-    fvals = np.asarray(qp_objective(qp)(mesh.node_coords())).reshape(mesh.shape)
+    fvals = discretize_objective(mesh, qp_objective(qp)).values.reshape(
+        mesh.shape)
     smask = (success_mask(mesh, x_star, success_radius).reshape(mesh.shape)
              if x_star is not None else None)
     rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,

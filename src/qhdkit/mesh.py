@@ -25,6 +25,11 @@ PERIODIC = "periodic"
 #: unit-norm tolerance for wavefunctions
 NORM_TOL = 1e-10
 
+#: most rows an evaluator receives in one call when a whole grid or a
+#: batch of points is evaluated, so its temporaries stay a few hundred KiB
+#: whatever the grid size
+GRID_BLOCK = 2 ** 12
+
 
 def _is_integer(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -52,6 +57,17 @@ def _axis_shapes(dim: int) -> list:
     """Broadcast shapes that lay a 1-D array along each axis of a d-grid."""
     return [tuple(-1 if a == ax else 1 for a in range(dim))
             for ax in range(dim)]
+
+
+def _coords_table(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The (len(axis)^dim, dim) coordinates of the grid with ``axis`` on
+    every edge, in flat-index order, each axis broadcast into its column of
+    the one output array; one empty row at ``dim`` = 0."""
+    out = np.empty((len(axis) ** dim, dim))
+    grid = out.reshape((len(axis),) * dim + (dim,))
+    for k, shape in enumerate(_axis_shapes(dim)):
+        grid[..., k] = axis.reshape(shape)
+    return out
 
 
 def _density(amp: np.ndarray) -> np.ndarray:
@@ -103,12 +119,7 @@ class Mesh:
     def node_coords(self) -> np.ndarray:
         """All node coordinates as a (size, dim) array in flat-index order,
         each axis broadcast into its column of the one output array."""
-        axis = self.axis_coords()
-        out = np.empty((self.size, self.dim))
-        grid = out.reshape(self.shape + (self.dim,))
-        for k, shape in enumerate(_axis_shapes(self.dim)):
-            grid[..., k] = axis.reshape(shape)
-        return out
+        return _coords_table(self.axis_coords(), self.dim)
 
     def flat_index(self, multi) -> int:
         return int(np.ravel_multi_index(tuple(multi), self.shape))
@@ -215,17 +226,72 @@ def build_fdm_operators(mesh: Mesh):
     r = mesh.cells_per_edge
     adj = lattice_adjacency(mesh)
     lap = (r ** 2) * (adj - 2 * mesh.dim * sp.identity(mesh.size, format="csr"))
-    coords = mesh.node_coords()
-    positions = [DiagonalOperator(mesh, coords[:, k]) for k in range(mesh.dim)]
+    axis = mesh.axis_coords()
+    positions = [DiagonalOperator(mesh, np.broadcast_to(axis.reshape(shape),
+                                                        mesh.shape))
+                 for shape in _axis_shapes(mesh.dim)]
     return lap.tocsr(), positions
+
+
+def _coord_blocks(mesh: Mesh):
+    """Yield ``(start, coords)``: the rows ``start, start + 1, ...`` of
+    ``mesh.node_coords()``, in flat-index order, as blocks of at most
+    ``GRID_BLOCK`` rows with the same bits. A block holds whole sub-grids
+    of the trailing axes under consecutive indices of the leading ones, so
+    it is filled by broadcasting, as ``node_coords`` is, with index
+    arithmetic only for its few leading multi-indices (at least one axis
+    leads)."""
+    axis, n, dim = mesh.axis_coords(), mesh.nodes_per_edge, mesh.dim
+    trail = 0
+    while trail < dim - 1 and n ** (trail + 1) <= GRID_BLOCK:
+        trail += 1
+    tail = _coords_table(axis, trail)
+    lead = dim - trail
+    per_block = GRID_BLOCK // len(tail)
+    for i in range(0, n ** lead, per_block):
+        rows = min(per_block, n ** lead - i)
+        block = np.empty((rows, len(tail), dim))
+        block[:, :, lead:] = tail
+        multi = np.unravel_index(np.arange(i, i + rows), (n,) * lead)
+        for k, j in enumerate(multi):
+            block[:, :, k] = axis[j, None]
+        yield i * len(tail), block.reshape(-1, dim)
+
+
+def _eval_blocks(f, blocks, n: int, dtype=float) -> np.ndarray:
+    """One (n,) array of ``dtype`` holding ``f`` on each ``(start, rows)``
+    block, f called once per block; a block given other than one value per
+    row raises ``ValueError``."""
+    out = np.empty(n, dtype)
+    for start, rows in blocks:
+        vals = np.asarray(f(rows), dtype=dtype).reshape(-1)
+        if vals.size != len(rows):
+            raise ValueError("objective did not return one value per node")
+        out[start:start + len(rows)] = vals
+    return out
+
+
+def _eval_rows(f, points: np.ndarray, dtype=float) -> np.ndarray:
+    """``f`` on the (n, d) ``points`` into one (n,) array, called on blocks
+    of at most ``GRID_BLOCK`` rows so that its temporaries stay
+    block-sized. The values equal one whole-array call bit for bit when f
+    is row-local (each row's value the same whatever rows come with it)."""
+    return _eval_blocks(f, ((i, points[i:i + GRID_BLOCK])
+                            for i in range(0, len(points), GRID_BLOCK)),
+                        len(points), dtype)
 
 
 def discretize_objective(mesh: Mesh, f) -> DiagonalOperator:
     """Sample an objective at the mesh nodes (same arithmetic as the caller's
-    evaluator). ``f`` maps an (n, dim) array of points to n values."""
-    values = np.asarray(f(mesh.node_coords()), dtype=float).reshape(-1)
-    if values.size != mesh.size:
-        raise ValueError("objective did not return one value per node")
+    evaluator). ``f`` maps an (n, dim) array of points to n values.
+
+    ``f`` is called on blocks of at most ``GRID_BLOCK`` nodes in flat-index
+    order, never on the whole (size, dim) coordinate table, so it must be
+    row-local: a node's value may not depend on which other rows share its
+    call. A call that returns other than one value per row raises
+    ``ValueError``; a non-finite value raises ``EvaluationError`` with the
+    flat index of the first such node."""
+    values = _eval_blocks(f, _coord_blocks(mesh), mesh.size)
     bad = ~np.isfinite(values)
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -330,7 +396,8 @@ def sample_positions(psi: WaveFunction, shots: int, seed: int) -> np.ndarray:
     p = psi.density()
     p = p / p.sum()
     idx = rng.choice(psi.mesh.size, size=shots, p=p)
-    return psi.mesh.node_coords()[idx]
+    multi = np.unravel_index(idx, psi.mesh.shape)
+    return psi.mesh.axis_coords()[np.stack(multi, axis=-1)]
 
 
 def success_probability(psi: WaveFunction, x_star, radius: float) -> float:

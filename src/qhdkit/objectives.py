@@ -28,6 +28,11 @@ class Objective:
     defined on; functions already living on the unit box use (0.0, 1.0).
     ``hessian_at_min`` may be reported in the coordinates the curvature is
     conventionally quoted in; see the individual constructors.
+
+    Whole grids and iterate batches are evaluated on blocks of at most
+    ``mesh.GRID_BLOCK`` rows (``discretize_objective``, ``radix2_problem``,
+    the traces of ``nagd_run`` and ``sgd_run``), so ``eval_fn`` must be
+    row-local: a row's value may not depend on the other rows of its call.
     """
 
     dim: int

@@ -126,8 +126,12 @@ def build_hamiltonian(mesh: Mesh, f, e_phi: float, e_chi: float) -> BoxHamiltoni
     mesh.require(DIRICHLET)
     _check_coefficients(e_phi, e_chi)
     fop = f if isinstance(f, DiagonalOperator) else discretize_objective(mesh, f)
-    coords = mesh.node_coords()
-    mask = np.all((coords > 0.0) & (coords < 1.0), axis=1)
+    axis = mesh.axis_coords()
+    inner = (axis > 0.0) & (axis < 1.0)
+    mask = np.ones(mesh.shape, dtype=bool)
+    for shape in _axis_shapes(mesh.dim):
+        mask &= inner.reshape(shape)
+    mask = mask.reshape(-1)
     if not mask.any():
         raise ValueError("need at least 2 cells per edge for interior nodes")
     lap, _ = build_fdm_operators(mesh)

@@ -106,6 +106,7 @@ def test_oracle_grid_cap_shared_by_both_oracles(monkeypatch):
         raise AssertionError("the grid was built")
 
     monkeypatch.setattr(qk.Mesh, "node_coords", no_grid)
+    monkeypatch.setattr(qk.bench, "_coord_blocks", no_grid)
     qp12 = qk.generate_qp(12, 3, seed=0)
     for oracle in (qk.grid_bruteforce_min, multistart_refine):
         with pytest.raises(ResourceError, match="exceeds the cap"):
@@ -119,6 +120,44 @@ def test_oracle_grid_cap_shared_by_both_oracles(monkeypatch):
         oracle(qp2, 8)
         with pytest.raises(ResourceError):
             oracle(qp2, 9)
+
+
+#: a random instance; Q = 0, b = 0, where every node ties; and f = x_2,
+#: whose minimum ties every ninth node, across block boundaries
+STREAM_QPS = [qk.generate_qp(3, 3, seed=5),
+              qk.QpInstance(3, sp.csr_matrix((3, 3)), np.zeros(3)),
+              qk.QpInstance(2, sp.csr_matrix((2, 2)), np.array([0.0, 1.0]))]
+
+
+@pytest.mark.parametrize("block", [qk.mesh.GRID_BLOCK, 7, 10])
+@pytest.mark.parametrize("qp", STREAM_QPS,
+                         ids=["random", "all-tie", "tie-every-row"])
+def test_streamed_oracles_match_whole_grid_sort(qp, block, monkeypatch):
+    monkeypatch.setattr(qk.mesh, "GRID_BLOCK", block)
+    r = 8
+    # the whole-grid oracles, written out
+    pts = qk.Mesh(qp.dim, r, qk.DIRICHLET).node_coords()
+    vals = qk.qp_eval_grad(qp, pts)[0]
+    order = np.argsort(vals, kind="stable")
+    for k in (1, 5, 64, len(pts)):
+        x, f = qk.bench._grid_smallest(qp, r, k)
+        assert np.array_equal(x, pts[order[:k]])
+        assert np.array_equal(f, vals[order[:k]])
+    x, f = qk.grid_bruteforce_min(qp, r)
+    idx = int(np.argmin(vals))
+    assert np.array_equal(x, pts[idx]) and f == float(vals[idx])
+    starts = qk.local_refine(qp, pts[order[:64]])
+    f_starts = qk.qp_eval_grad(qp, starts)[0]
+    x, f = multistart_refine(qp, r)
+    best = int(np.argmin(f_starts))
+    assert np.array_equal(x, starts[best]) and f == float(f_starts[best])
+
+
+def test_multistart_refine_works_in_block_sized_memory(working_memory):
+    # the 9^6-node coordinate table and its whole-grid values took 73 MiB
+    qp = qk.generate_qp(6, 5, 0)
+    used = working_memory(lambda: multistart_refine(qp, 8))
+    assert used <= 4 * 2 ** 20, f"{used / 2 ** 20:.1f} MiB"
 
 
 def test_bruteforce_matches_multistart_refinement():

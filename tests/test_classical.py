@@ -118,6 +118,22 @@ def test_ensemble_stats_examples():
     assert np.allclose(loss, 0.5 * (f(np.array([0.5])) + f(np.array([0.9]))))
 
 
+def test_sgd_trace_and_ensemble_stats_in_block_sized_memory(working_memory):
+    # f on every iterate in one call and the success mask of the whole
+    # batch used to take 122 MiB and 92 MiB above this 46 MiB trace
+    f = qk.get_objective("levy")
+    runs, steps = 200, 10_000
+    x0 = np.random.default_rng(0).uniform(size=(runs, 2))
+    made = []
+    used = working_memory(lambda: made.append(qk.sgd_run(
+        f, x0, 1e-3, steps, seed=np.arange(runs))))
+    trace = made[0]
+    extra = used - trace.points.nbytes - trace.values.nbytes
+    assert extra <= 8 * 2 ** 20, f"sgd_run: {extra / 2 ** 20:.1f} MiB"
+    used = working_memory(lambda: qk.ensemble_stats(trace, f.minimizer, 0.1))
+    assert used <= 4 * 2 ** 20, f"ensemble_stats: {used / 2 ** 20:.1f} MiB"
+
+
 def test_ensemble_stats_errors():
     empty = qk.IterateTrace(np.empty((0, 5, 1)), np.arange(5.0),
                             np.empty((0, 5)))

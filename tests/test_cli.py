@@ -331,6 +331,16 @@ def test_anneal_sim_model_without_layout_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("encode", "--qp"), ("anneal-sim", "--model"), ("bench", "--config")])
+def test_missing_input_file_ends_on_one_line(command, flag, tmp_path, capsys):
+    # each used to end in a FileNotFoundError traceback with exit status 1
+    missing = tmp_path / "nope.json"
+    with _input_error(capsys, command, re.escape(str(missing))):
+        main([command, flag, str(missing), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_commands_without_sparse_algebra_never_import_scipy(tmp_path):
     # scipy is imported inside the functions that use it; a fresh
     # interpreter that imports qhdkit and runs these commands never loads it

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -283,22 +282,9 @@ def test_qhd_evolve_leaves_psi0_and_snapshots_alone():
                    for b in amps[i + 1:])
 
 
-def _working_memory(call) -> int:
-    """Peak bytes ``call()`` allocates above what is held on entry, as
-    tracemalloc counts them (numpy reports its array buffers to it)."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("what, bound", [
     ("qhd_evolve", 3.0), ("lyapunov_W", 2.5), ("gaussian_state", 2.5)])
-def test_working_memory_in_state_sizes(what, bound):
+def test_working_memory_in_state_sizes(what, bound, working_memory):
     # beyond the caller's arrays a split step needs the state and one phase
     # buffer, and an observation one float density; whole-grid coordinate
     # tables and copies of the state are what these bounds keep out
@@ -315,7 +301,7 @@ def test_working_memory_in_state_sizes(what, bound):
                                             f.minimizer),
         "gaussian_state": lambda: qk.gaussian_state(mesh, [0.4, 0.6], 0.01),
     }[what]
-    used = _working_memory(call) / psi.amplitudes.nbytes
+    used = working_memory(call) / psi.amplitudes.nbytes
     assert used <= bound, f"{what} used {used:.2f} states of working memory"
 
 

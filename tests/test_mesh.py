@@ -7,7 +7,9 @@ import scipy.sparse as sp
 
 import qhdkit as qk
 from qhdkit.errors import EvaluationError
-from qhdkit.mesh import (_chain_adjacency, _density, _require_real, _row_sum,
+from qhdkit import mesh as mesh_mod
+from qhdkit.mesh import (GRID_BLOCK, _chain_adjacency, _coord_blocks,
+                         _density, _eval_rows, _require_real, _row_sum,
                          _sq_dist_grid, kron_sum, lattice_adjacency,
                          point_mass, success_mask, within_radius)
 
@@ -53,6 +55,83 @@ def test_node_coords_bitwise_equal_to_meshgrid_stack(dim):
         new = m.node_coords()
         assert new.shape == old.shape and new.flags.c_contiguous
         assert np.array_equal(new, old)
+
+
+# (dim, cells, boundary, block rows): one block; whole trailing rows with a
+# remainder; edges longer than a block, so no axis trails; the d = 5 oracle
+# grid; and small blocks cutting rows and sub-grids
+BLOCK_MESHES = [(2, 63, qk.DIRICHLET, GRID_BLOCK),
+                (2, 512, qk.DIRICHLET, GRID_BLOCK),
+                (1, 10000, qk.PERIODIC, GRID_BLOCK),
+                (5, 8, qk.DIRICHLET, GRID_BLOCK),
+                (2, 8, qk.DIRICHLET, 7), (3, 5, qk.PERIODIC, 12)]
+
+
+def _sizes_and_values(record):
+    """An evaluator that appends each batch's row count to ``record``."""
+    def ev(x):
+        record.append(len(x))
+        return np.sum(np.cos(5.0 * x), axis=1) + x[:, 0] ** 3
+    return ev
+
+
+@pytest.mark.parametrize("dim, cells, boundary, block", BLOCK_MESHES)
+def test_coord_blocks_are_node_coords_in_flat_order(dim, cells, boundary,
+                                                    block, monkeypatch):
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", block)
+    m = qk.Mesh(dim, cells, boundary)
+    starts, blocks = zip(*_coord_blocks(m))
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) <= block
+    assert list(starts) == [0, *np.cumsum(sizes)[:-1].tolist()]
+    assert np.array_equal(np.concatenate(blocks), m.node_coords())
+
+
+@pytest.mark.parametrize("dim, cells, boundary, block", BLOCK_MESHES)
+def test_discretize_objective_calls_f_on_blocks_with_whole_grid_bits(
+        dim, cells, boundary, block, monkeypatch):
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", block)
+    m = qk.Mesh(dim, cells, boundary)
+    sizes = []
+    values = qk.discretize_objective(m, _sizes_and_values(sizes)).values
+    assert max(sizes) <= block and sum(sizes) == m.size
+    whole = _sizes_and_values([])(m.node_coords())
+    assert np.array_equal(values, whole)
+
+
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_eval_rows_calls_f_on_blocks_with_whole_array_bits(dtype):
+    pts = np.random.default_rng(5).uniform(size=(3 * GRID_BLOCK + 17, 3))
+    sizes = []
+    ev = _sizes_and_values(sizes)
+    f = ev if dtype is float else (lambda x: ev(x) > 1.5)
+    out = _eval_rows(f, pts, dtype)
+    assert sizes == [GRID_BLOCK] * 3 + [17] and out.dtype == dtype
+    assert np.array_equal(out, f(pts))
+
+
+@pytest.mark.parametrize("returned", [lambda x: 0.0, lambda x: x])
+def test_eval_rows_rejects_other_than_one_value_per_row(returned):
+    with pytest.raises(ValueError, match="one value per node"):
+        _eval_rows(returned, np.zeros((5, 2)))
+
+
+def test_discretize_objective_works_in_block_sized_memory(working_memory):
+    # the whole (size, 2) table and Levy's whole-grid temporaries used to
+    # take 11 times the values' bytes
+    m = qk.Mesh(2, 512, qk.PERIODIC)
+    f = qk.get_objective("levy")
+    used = working_memory(lambda: qk.discretize_objective(m, f))
+    assert used <= 2 * 8 * m.size, f"{used / (8 * m.size):.2f} outputs"
+
+
+def test_discretize_objective_first_nonfinite_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", 4)
+    m = qk.Mesh(1, 20, qk.DIRICHLET)
+    with pytest.raises(EvaluationError) as err:
+        qk.discretize_objective(
+            m, lambda p: np.where(p[:, 0] > 0.6, np.inf, p[:, 0]))
+    assert err.value.index == 13
 
 
 def test_density_bitwise_equal_to_abs_squared():
@@ -320,6 +399,20 @@ def test_sample_positions_point_mass_and_determinism():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         qk.sample_positions(psi, 0, seed=1)
+
+
+@pytest.mark.parametrize("dim, cells, boundary", [
+    (1, 9, qk.DIRICHLET), (2, 512, qk.PERIODIC), (3, 20, qk.DIRICHLET)])
+def test_sample_positions_bitwise_equal_to_node_coords_rows(dim, cells,
+                                                          boundary):
+    m = qk.Mesh(dim, cells, boundary)
+    psi = qk.gaussian_state(m, [0.3, 0.6, 0.2][:dim], 0.02)
+    draws = qk.sample_positions(psi, 1000, seed=4)
+    # the rows the draws used to be read from, written out
+    rng = np.random.default_rng(4)
+    p = psi.density()
+    idx = rng.choice(m.size, size=1000, p=p / p.sum())
+    assert np.array_equal(draws, m.node_coords()[idx])
 
 
 def test_sample_positions_frequencies():

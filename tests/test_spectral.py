@@ -379,5 +379,9 @@ def test_box_matrix_is_interior_block_of_old_formula(dim, r):
            + e_chi * sp.diags(f_int)).tocsr()
     H = qk.build_hamiltonian(mesh, f, e_phi, e_chi)
     assert np.array_equal(H.interior_mask, interior)
+    # the mask as once read from the whole coordinate table
+    coords = mesh.node_coords()
+    assert np.array_equal(H.interior_mask,
+                          np.all((coords > 0.0) & (coords < 1.0), axis=1))
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(old, attr), getattr(H.matrix, attr))
