@@ -15,8 +15,10 @@ Conventions pinned for reproducibility across modules:
 * Each split step applies the potential phase first, then the kinetic phase
   in Fourier space. The kinetic phase is a product of per-axis 1-D phases,
   since its eigenvalue is a sum over axes; the potential phase is cos/sin
-  of its angle written into a buffer made once per call; the state is
-  multiplied and transformed in place.
+  of its angle, made one row block at a time (at most ``mesh.GRID_BLOCK``
+  nodes, at least one row) in a block buffer that each slab makes once per
+  call; the state is multiplied and transformed in place, so it is the
+  only full complex grid a step holds.
 * A split step runs in four stages on independent slabs of the grid: the
   potential phase and the FFTs along axes d-1, ..., 1 on slabs of axis 0;
   the FFT along axis 0 and the kinetic phases on slabs of the last axis;
@@ -54,9 +56,9 @@ import numpy as np
 from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _axis_shapes, _density, _eval_rows, _require_count,
-                   _require_real, discretize_objective, kron_sum, success_mask,
-                   uniform_state, within_radius)
+                   _axis_shapes, _axis_slices, _density, _eval_rows,
+                   _require_count, _require_real, discretize_objective,
+                   kron_sum, success_mask, uniform_state, within_radius)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -517,25 +519,30 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     mesh: alternating diagonal potential phases and Fourier-space kinetic
     phases with per-step coefficients from the schedule.
 
-    The state is stepped in place in one complex grid. The potential phase
-    lives in one complex buffer made once per call: its angle is written
-    into the imaginary part, cos of it into the real part, then sin in
-    place. The FFTs overwrite the state. The kinetic eigenvalue is a sum
-    over axes, so its phase is a product of one length-N phase per axis,
-    built once per step and multiplied in along each axis in turn. So a
-    run holds two full complex grids, the state and the phase, and one
-    float density at each observation, which its E[f] product overwrites;
-    the final state is normalized in place and returned as the last
-    snapshot. ``psi0`` is left unchanged.
+    The state is stepped in place in one complex grid: a copy of
+    ``psi0``, which is left unchanged, or else a fresh uniform state. The
+    potential phase is made one row block at a time, at most
+    ``mesh.GRID_BLOCK`` nodes and at least one row of axis 0, in a block
+    buffer that each slab makes once per call: the angle is written into
+    its imaginary part, cos of it into the real part, then sin in place,
+    and the state's block is multiplied by it. The FFTs overwrite the
+    state. The kinetic eigenvalue is a sum over axes, so its phase is a
+    product of one length-N phase per axis, built once per step and
+    multiplied in along each axis in turn. So a run holds one full complex
+    grid, the state, and one float density at each observation, which its
+    E[f] product overwrites; the final state is normalized in place and
+    returned as the last snapshot.
 
     Each step runs in four stages, each on independent slabs of the grid:
-    (a) the potential phase, then the FFTs along axes d-1, ..., 1, on slabs
-    of axis 0; (b) the FFT along axis 0, then the kinetic phases of axes
-    0, ..., d-1, on slabs of the last axis; (c) the inverse FFTs along axes
-    d-1, ..., 1, on slabs of axis 0; (d) the inverse FFT along axis 0, on
-    slabs of the last axis. That is ``fftn``'s axis order, so every node
-    sees the same operations in the same order whatever the slab count,
-    and the results do not depend on it. A grid of d >= 2 axes is cut into
+    (a) the potential phase, block by block, then the FFTs along axes
+    d-1, ..., 1, on slabs of axis 0; (b) the FFT along axis 0, then the
+    kinetic phases of axes 0, ..., d-1, on slabs of the last axis; (c) the
+    inverse FFTs along axes d-1, ..., 1, on slabs of axis 0; (d) the
+    inverse FFT along axis 0, on slabs of the last axis. That is
+    ``fftn``'s axis order, so every node sees the same operations in the
+    same order whatever the slab count, and the results do not depend on
+    it; the phase's operations are elementwise, so neither do they depend
+    on its blocks. A grid of d >= 2 axes is cut into
     min(usable CPUs, nodes // ``SLAB_NODES``) slabs, at least one; this
     thread runs the first and a pool of one thread per further slab the
     others. The pool is made by this call and shut down, its threads
@@ -561,23 +568,30 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     kin_axis = _axis_kinetic_eigenvalues(n)
     axis_shapes = _axis_shapes(mesh.dim)
     inner_axes = range(last, 0, -1)
-    psi = (psi0.amplitudes if psi0 is not None
-           else uniform_state(mesh).amplitudes).reshape(mesh.shape).copy()
-    phase = np.empty(mesh.shape, dtype=complex)
+    # the default start is made fresh, so only a caller's psi0 is copied
+    psi = (psi0.amplitudes.copy() if psi0 is not None
+           else uniform_state(mesh).amplitudes).reshape(mesh.shape)
     k = _slab_count(mesh)
     cuts = [n * i // k for i in range(k + 1)]
-    # views made once: a row slab of each array, and a column slab of the
-    # state with its range of the last axis
-    rows = [(psi[a:b], fvals[a:b], phase[a:b])
-            for a, b in zip(cuts, cuts[1:])]
+    # made once: a row slab of the state and of the potential with the row
+    # blocks of its phase and one phase buffer per slab, and a column slab
+    # of the state with its range of the last axis
+    rows = []
+    for a, b in zip(cuts, cuts[1:]):
+        blocks = _axis_slices(b - a, mesh.size // n)
+        buf = np.empty((max(s.stop - s.start for s in blocks),)
+                       + mesh.shape[1:], dtype=complex)
+        rows.append((psi[a:b], fvals[a:b], buf, blocks))
     cols = [(psi[..., a:b], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
 
     def potential_then_inner_ffts(row, coeff):
-        part, f_part, p_part = row
-        np.multiply(coeff, f_part, out=p_part.imag)
-        np.cos(p_part.imag, out=p_part.real)
-        np.sin(p_part.imag, out=p_part.imag)
-        part *= p_part
+        part, f_part, buf, blocks = row
+        for s in blocks:
+            phase, block = buf[:s.stop - s.start], part[s]
+            np.multiply(coeff, f_part[s], out=phase.imag)
+            np.cos(phase.imag, out=phase.real)
+            np.sin(phase.imag, out=phase.imag)
+            block *= phase
         for ax in inner_axes:
             np.fft.fft(part, axis=ax, out=part)
 

@@ -26,8 +26,9 @@ PERIODIC = "periodic"
 NORM_TOL = 1e-10
 
 #: most rows an evaluator receives in one call when a whole grid or a
-#: batch of points is evaluated, so its temporaries stay a few hundred KiB
-#: whatever the grid size
+#: batch of points is evaluated, and most nodes in a block of the split
+#: step's potential phase or of ``lyapunov_W``'s J psi, so their
+#: temporaries stay a few hundred KiB whatever the grid size
 GRID_BLOCK = 2 ** 12
 
 
@@ -269,6 +270,19 @@ def _eval_blocks(f, blocks, n: int, dtype=float) -> np.ndarray:
             raise ValueError("objective did not return one value per node")
         out[start:start + len(rows)] = vals
     return out
+
+
+def _axis_slices(n: int, line: int) -> list:
+    """Slices that cut an axis of ``n`` indices, each index carrying ``line``
+    nodes, into the fewest blocks of at most ``GRID_BLOCK`` nodes and at
+    least one index, their lengths differing by at most one, so that a
+    whole-grid pass runs on block-sized temporaries. Even lengths keep an
+    axis of single nodes from ending in a one-node block: numpy multiplies
+    a one-element complex array in place by another path, whose last bits
+    can differ."""
+    count = -(-n // max(1, GRID_BLOCK // line))
+    cuts = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _eval_rows(f, points: np.ndarray, dtype=float) -> np.ndarray:

@@ -193,7 +193,10 @@ def _sum_squares_raw(dim=2) -> Objective:
     weights = np.arange(1, dim + 1, dtype=float)
 
     def ev(x):
-        return np.atleast_2d(x) ** 2 @ weights
+        # an elementwise product and a per-row sum, so that a row's value
+        # does not depend on the rows that share its call (a matrix product
+        # takes another BLAS path for one row than for many)
+        return (np.atleast_2d(x) ** 2 * weights).sum(axis=1)
 
     def gr(x):
         return 2.0 * weights * np.atleast_2d(x)

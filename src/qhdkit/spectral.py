@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import Schedule, kinetic_eigenvalues
 from .errors import ConvergenceError, DomainError
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
-                   _axis_shapes, _density, _is_integer, _require_real,
+                   _axis_shapes, _axis_slices, _is_integer, _require_real,
                    build_fdm_operators, discretize_objective)
 
 if TYPE_CHECKING:
@@ -298,24 +298,47 @@ def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
     computed as one half the squared norm of J applied to the state, with
     momentum realized by spectral differentiation on the periodic mesh and
     position centered at the declared minimizer ``center``.
+
+    Per axis, J psi is formed on blocks of whole lines along that axis, at
+    most ``GRID_BLOCK`` nodes each (column blocks of the (n, size / n)
+    view for axis 0, row blocks for the others), and |J psi|^2 written
+    into one float density made once per call; the density is summed
+    whole, and then reused for f |psi|^2. So the working memory is that
+    density and a few block-sized temporaries.
     """
-    psi.mesh.require(PERIODIC)
+    mesh = psi.mesh
+    mesh.require(PERIODIC)
     if sched.kind != "three_param":
         raise ValueError("the Lyapunov monitor needs a three-parameter schedule")
-    if psi.mesh != f.mesh:
+    if mesh != f.mesh:
         raise ValueError("state and objective live on different meshes")
     center = np.asarray(center, dtype=float).reshape(-1)
-    grid = psi.amplitudes.reshape(psi.mesh.shape)
-    coords = psi.mesh.axis_coords()
+    n, rest = mesh.nodes_per_edge, mesh.size // mesh.nodes_per_edge
+    grid = psi.amplitudes.reshape(mesh.shape)
+    dens = np.empty(mesh.shape)
+    coords = mesh.axis_coords()
     e_neg_gamma = np.exp(-sched.gamma(t))
     j_sq = 0.0
-    for ax, shape in enumerate(_axis_shapes(psi.mesh.dim)):
+    for ax, shape in enumerate(_axis_shapes(mesh.dim)):
+        if ax == 0:
+            grid_v, dens_v = grid.reshape(n, rest), dens.reshape(n, rest)
+            shape = (-1, 1)
+            blocks = [(slice(None), s) for s in _axis_slices(rest, n)]
+        else:
+            grid_v, dens_v, blocks = grid, dens, _axis_slices(n, rest)
         xc = (coords - center[ax]).reshape(shape)
-        # J psi formed in the momentum's array, each product's operands in
-        # the order of e^-gamma p psi + (x - x*) psi
-        j_psi = _momentum_apply(grid, ax)
-        np.multiply(e_neg_gamma, j_psi, out=j_psi)
-        j_psi += xc * grid
-        j_sq += float(np.sum(_density(j_psi)))
-    ef = float(np.sum(f.values * psi.density()))
+        for s in blocks:
+            # J psi formed in the momentum's array, each product's operands
+            # in the order of e^-gamma p psi + (x - x*) psi
+            part, out = grid_v[s], dens_v[s]
+            j_psi = _momentum_apply(part, ax)
+            np.multiply(e_neg_gamma, j_psi, out=j_psi)
+            j_psi += xc * part
+            np.abs(j_psi, out=out)
+            np.square(out, out=out)
+        j_sq += float(np.sum(dens))
+    prob = dens.reshape(-1)
+    np.abs(psi.amplitudes, out=prob)
+    np.square(prob, out=prob)
+    ef = float(np.sum(np.multiply(f.values, prob, out=prob)))
     return 0.5 * j_sq + float(np.exp(sched.beta(t))) * ef

@@ -283,11 +283,13 @@ def test_qhd_evolve_leaves_psi0_and_snapshots_alone():
 
 
 @pytest.mark.parametrize("what, bound", [
-    ("qhd_evolve", 3.0), ("lyapunov_W", 2.5), ("gaussian_state", 2.5)])
+    ("qhd_evolve", 2.0), ("lyapunov_W", 1.0), ("gaussian_state", 2.5)])
 def test_working_memory_in_state_sizes(what, bound, working_memory):
-    # beyond the caller's arrays a split step needs the state and one phase
-    # buffer, and an observation one float density; whole-grid coordinate
-    # tables and copies of the state are what these bounds keep out
+    # beyond the caller's arrays a split step needs the state, block-sized
+    # phase buffers and, at an observation, one float density; the monitor
+    # needs one float density and block-sized temporaries. Whole-grid
+    # coordinate tables, phase or momentum grids and copies of the state
+    # are what these bounds keep out
     mesh = qk.Mesh(2, 256, qk.PERIODIC)
     f = qk.get_objective("levy")
     fop = qk.discretize_objective(mesh, f)
@@ -374,6 +376,48 @@ def test_qhd_slab_path_matches_one_slab_bitwise(dim, n, monkeypatch):
     assert np.array_equal(sliced.times, one.times)
     for key in ("Ef", "success_prob", "norm"):
         assert np.array_equal(sliced.observables[key], one.observables[key])
+
+
+@pytest.mark.parametrize("dim, n, block, slabs", [
+    (1, 50, 7, 1),          # 8 blocks of 6 or 7 nodes
+    (1, 4097, 4096, 1),     # 2048 and 2049 nodes, not 4096 and a lone node
+    (2, 22, 22, 1),         # single rows
+    (2, 22, 70, 1),         # 8 blocks of 2 or 3 rows
+    (3, 10, 100, 1),        # single rows of a 3-D grid
+    (3, 10, 350, 1),        # 2, 3, 2, 3 rows
+    (2, 22, 70, 2),         # two slabs of 11 rows, each 2, 3, 3, 3
+    (3, 10, 100, 2),        # two slabs of 5 single rows
+])
+def test_qhd_phase_row_blocks_match_whole_grid_bitwise(dim, n, block, slabs,
+                                                       monkeypatch):
+    # the potential phase made block by block, some blocks single rows and
+    # some ending unevenly, keeps the bits of the whole-grid phase
+    mesh = qk.Mesh(dim, n, qk.PERIODIC)
+    x_star = np.full(dim, 0.3)
+    fop = qk.discretize_objective(mesh, lambda x: 40.0 * np.sum(
+        (x - 0.3) ** 2, axis=1) + np.cos(9.0 * x[:, 0]))
+    sched = qk.make_schedule("nesterov_three_param")
+    psi0 = _random_state(mesh, seed=dim)
+
+    def run():
+        return qk.qhd_evolve(mesh, fop, sched, 0.8, 1e-2, psi0,
+                             snapshot_times=[0.6, 0.7], t0=0.5, x_star=x_star,
+                             success_radius=0.2, observable_stride=3)
+
+    whole = run()
+    monkeypatch.setattr(qk.mesh, "GRID_BLOCK", block)
+    if slabs > 1:
+        monkeypatch.setattr(dynamics, "SLAB_NODES", 1)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: slabs)
+    assert dynamics._slab_count(mesh) == slabs
+    blocked = run()
+    ref = _fftn_split_steps(mesh, fop.values, sched, 0.5, 30, 1e-2,
+                            psi0.amplitudes)
+    for snap, s in zip(blocked.snapshots, (10, 20, 30)):
+        want = ref[s - 1] / np.sqrt(np.sum(np.abs(ref[s - 1]) ** 2))
+        assert np.array_equal(snap.amplitudes, want)
+    for key in ("Ef", "success_prob", "norm"):
+        assert np.array_equal(blocked.observables[key], whole.observables[key])
 
 
 def test_qhd_small_and_1d_grids_never_reach_the_pool(monkeypatch):

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 import qhdkit as qk
 from qhdkit.errors import EvaluationError
 from qhdkit import mesh as mesh_mod
-from qhdkit.mesh import (GRID_BLOCK, _chain_adjacency, _coord_blocks,
-                         _density, _eval_rows, _require_real, _row_sum,
-                         _sq_dist_grid, kron_sum, lattice_adjacency,
+from qhdkit.mesh import (GRID_BLOCK, _axis_slices, _chain_adjacency,
+                         _coord_blocks, _density, _eval_rows, _require_real,
+                         _row_sum, _sq_dist_grid, kron_sum, lattice_adjacency,
                          point_mass, success_mask, within_radius)
 
 
@@ -108,6 +108,25 @@ def test_eval_rows_calls_f_on_blocks_with_whole_array_bits(dtype):
     out = _eval_rows(f, pts, dtype)
     assert sizes == [GRID_BLOCK] * 3 + [17] and out.dtype == dtype
     assert np.array_equal(out, f(pts))
+
+
+@pytest.mark.parametrize("n, line, block, lengths", [
+    (512, 512, GRID_BLOCK, [8] * 64),
+    (4097, 1, GRID_BLOCK, [2048, 2049]),
+    (5000, 1, GRID_BLOCK, [2500, 2500]),
+    (10, 100, 350, [2, 3, 2, 3]),
+    (12, 144, 60, [1] * 12),
+    (1, 70000, GRID_BLOCK, [1]),
+    (3, 1, 2, [1, 2]),
+])
+def test_axis_slices_cut_into_even_blocks(n, line, block, lengths,
+                                          monkeypatch):
+    # the fewest blocks of at most GRID_BLOCK nodes and at least one index,
+    # lengths differing by at most one, GRID_BLOCK read at each call
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", block)
+    slices = _axis_slices(n, line)
+    assert [s.stop - s.start for s in slices] == lengths
+    assert [s.start for s in slices] == [0, *np.cumsum(lengths)[:-1]]
 
 
 @pytest.mark.parametrize("returned", [lambda x: 0.0, lambda x: x])

@@ -194,6 +194,23 @@ def test_registry_honesty():
             assert np.linalg.norm(f.grad(f.minimizer)) <= 1e-6, name
 
 
+@pytest.mark.parametrize("dim", [2, 5, 7])
+def test_sum_squares_rows_match_single_points(dim):
+    # block evaluation may hand a row to the evaluator alone, so its value
+    # must not depend on the rows that share its call
+    raw = RAW_REGISTRY["sum_squares"](dim)
+    U = np.random.default_rng(dim).uniform(0.0, 1.0, (1001, dim))
+    X = 20.0 * U - 10.0
+    for f, points in ((raw, X), (qk.rescale_to_unit_box(raw), U)):
+        values = f(points)
+        for x, v in zip(points, values):
+            assert f(x[None])[0] == v
+    if dim == 2:
+        # the matrix-product formula as a reference: with weights 1 and 2
+        # every product is exact, so both sums round alike
+        assert np.array_equal(raw(X), X ** 2 @ np.arange(1.0, 3.0))
+
+
 def test_unknown_objective():
     with pytest.raises(ValueError):
         qk.get_objective("not_a_function")

@@ -287,6 +287,28 @@ def test_lyapunov_bitwise_equal_to_old_expression(dim, n):
                 == _old_lyapunov_W(psi, sched, t, fop, center))
 
 
+@pytest.mark.parametrize("dim, n, block", [
+    (1, 64, 7),       # a line is never cut: one block of 64
+    (2, 30, 1),       # single lines along every axis
+    (2, 30, 120),     # 8 blocks of 3 or 4 lines
+    (3, 12, 60),      # axis 0: 29 blocks of 4 or 5 columns; else single rows
+    (3, 10, 350),     # axis 0: 33, 33, 34 columns; else 2, 3, 2, 3 rows
+])
+def test_lyapunov_line_blocks_equal_old_expression(dim, n, block,
+                                                   monkeypatch):
+    mesh = qk.Mesh(dim, n, qk.PERIODIC)
+    rng = np.random.default_rng(dim * n)
+    amp = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
+    psi = qk.WaveFunction(mesh, amp / np.linalg.norm(amp))
+    fop = discretize_objective(mesh, lambda x: np.sum((x - 0.4) ** 2, axis=1))
+    sched = qk.make_schedule("nesterov_three_param")
+    center = rng.uniform(0, 1, dim)
+    monkeypatch.setattr(qk.mesh, "GRID_BLOCK", block)
+    for t in (0.7, 2.0, 30.0):
+        assert (qk.lyapunov_W(psi, sched, t, fop, center)
+                == _old_lyapunov_W(psi, sched, t, fop, center))
+
+
 def test_lyapunov_requires_three_param_and_periodic():
     mesh = qk.Mesh(1, 16, qk.PERIODIC)
     f = Objective(dim=1, eval_fn=lambda x: np.atleast_2d(x)[:, 0] ** 2)
