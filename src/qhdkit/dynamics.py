@@ -57,8 +57,9 @@ from .errors import (BlowupError, EvaluationError, ResourceError,
                      ScheduleValidationError, StabilityError, StepGridError)
 from .mesh import (DIRICHLET, PERIODIC, DiagonalOperator, Mesh, WaveFunction,
                    _axis_shapes, _axis_slices, _density, _eval_rows,
-                   _require_count, _require_real, discretize_objective,
-                   kron_sum, success_mask, uniform_state, within_radius)
+                   _pairwise_sums, _require_count, _require_real, _sq_norm,
+                   discretize_objective, kron_sum, success_mask,
+                   uniform_state, within_radius)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -281,10 +282,14 @@ class _Recorder:
     Owns the step count, the snapshot-step table, the E[f],
     success-probability and norm traces recorded every ``stride`` steps and
     at the last step, and the snapshots, the final state always among them.
-    ``fvals`` and ``smask`` are shaped like the engine's state; ``mesh``
-    wraps snapshots as WaveFunctions (plain flat vectors when None). Steps
-    are counted from 1, so step m ends at t0 + m dt. A stride that is not
-    an integer >= 1 raises ``ValueError``.
+    ``fvals`` and the boolean ``smask`` have one entry per entry of the
+    engine's (contiguous) state, in its flat order; the recorder keeps
+    ``smask`` as the flat indices of its success nodes. ``mesh`` wraps
+    snapshots as WaveFunctions (plain flat vectors when None). Steps are
+    counted from 1, so step m ends at t0 + m dt. A stride that is not an
+    integer >= 1 raises ``ValueError``. No observation or normalization
+    makes a full-grid density: sums of |psi|^2 run one block at a time
+    through ``mesh._pairwise_sums``, with the bits of whole-array sums.
     """
 
     def __init__(self, t0, T, dt, fvals, smask=None, *, snapshot_times=(),
@@ -292,7 +297,8 @@ class _Recorder:
         _require_count("observable stride", stride)
         self.t0, self.dt, self.stride = t0, dt, stride
         self.n_steps = _step_count(t0, T, dt)
-        self.fvals, self.smask, self.mesh = fvals, smask, mesh
+        self.fvals, self.mesh = fvals.reshape(-1), mesh
+        self.success = None if smask is None else np.flatnonzero(smask)
         self.snap_steps = {}
         for ts in snapshot_times:
             m = (ts - t0) / dt
@@ -307,30 +313,42 @@ class _Recorder:
     def due(self, step: int) -> bool:
         return step % self.stride == 0 or step == self.n_steps
 
-    def observe(self, step: int, prob: np.ndarray):
-        """Record the observables of the density ``prob`` after ``step``;
-        the E[f] product overwrites ``prob`` once the norm and the success
-        mass are taken."""
-        nrm = float(prob.sum())
+    def observe(self, step: int, psi: np.ndarray):
+        """Record the observables of the state ``psi`` after ``step``.
+        Each leaf of ``mesh._pairwise_sums`` makes one density block: the
+        norm is its sum, E[f] the sum of the block times the leaf's
+        ``fvals``, multiplied in place. The success mass is the sum of the
+        density of the amplitudes gathered at the success nodes, in index
+        order. All three have the bits of sums over a whole-grid density.
+        A grid of at most ``GRID_BLOCK`` nodes is one leaf."""
+        amp, fvals = psi.reshape(-1), self.fvals
+
+        def leaf(a, b):
+            prob = _density(amp[a:b])
+            nrm = prob.sum()
+            # a blown-up block is not multiplied: inf * 0 would warn
+            return nrm, (np.multiply(prob, fvals[a:b], out=prob).sum()
+                         if math.isfinite(nrm) else nrm)
+
+        nrm, ef = _pairwise_sums(amp.size, leaf)
+        nrm = float(nrm)
         if not np.isfinite(nrm):
             raise BlowupError(f"non-finite amplitudes at step {step - 1}",
                               step=step - 1)
         self.times.append(self.t0 + step * self.dt)
         self.norms.append(nrm)
-        self.sps.append(float(np.sum(prob[self.smask])) / nrm
-                        if self.smask is not None else np.nan)
-        self.efs.append(float(np.sum(np.multiply(prob, self.fvals, out=prob)))
-                        / nrm)
+        self.sps.append(float(_density(amp.take(self.success)).sum()) / nrm
+                        if self.success is not None else np.nan)
+        self.efs.append(float(ef) / nrm)
 
     def record(self, step: int, psi: np.ndarray):
         """Observables on due steps and a snapshot on snapshot steps; a
         snapshot is a normalized copy, as the engine goes on stepping
         ``psi``."""
         if self.due(step):
-            self.observe(step, _density(psi))
+            self.observe(step, psi)
         if step in self.snap_steps:
-            self._snapshot(self.snap_steps[step],
-                           psi / np.sqrt(np.sum(_density(psi))))
+            self._snapshot(self.snap_steps[step], psi / np.sqrt(_sq_norm(psi)))
 
     def _snapshot(self, t, amp):
         amp = amp.reshape(-1)
@@ -344,7 +362,7 @@ class _Recorder:
         ``psi``, so that snapshot is ``psi`` itself, normalized in place."""
         t_end = self.t0 + self.n_steps * self.dt
         if not self.snap_ts or abs(self.snap_ts[-1] - t_end) > 1e-9:
-            psi /= np.sqrt(np.sum(_density(psi)))
+            psi /= np.sqrt(_sq_norm(psi))
             self._snapshot(t_end, psi)
         return Trajectory(times=np.array(self.times),
                           observables={"Ef": np.array(self.efs),
@@ -529,9 +547,11 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     state. The kinetic eigenvalue is a sum over axes, so its phase is a
     product of one length-N phase per axis, built once per step and
     multiplied in along each axis in turn. So a run holds one full complex
-    grid, the state, and one float density at each observation, which its
-    E[f] product overwrites; the final state is normalized in place and
-    returned as the last snapshot.
+    grid, the state. Observations and normalizations sum |psi|^2 one block
+    of at most ``mesh.GRID_BLOCK`` nodes at a time, in numpy's pairwise
+    order, so they make no full-grid density and keep the bits of
+    whole-grid sums; the success nodes are kept as flat indices. The final
+    state is normalized in place and returned as the last snapshot.
 
     Each step runs in four stages, each on independent slabs of the grid:
     (a) the potential phase, block by block, then the FFTs along axes
@@ -559,10 +579,12 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     fvals = fop.values.reshape(mesh.shape)
     if x_star is None and getattr(f, "minimizer", None) is not None:
         x_star = np.asarray(f.minimizer, dtype=float)
-    smask = (success_mask(mesh, x_star, success_radius).reshape(mesh.shape)
-             if x_star is not None else None)
-    rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
-                    stride=observable_stride, mesh=mesh)
+    # the recorder keeps the mask's flat indices; the mask is not held
+    rec = _Recorder(t0, T, dt, fvals,
+                    None if x_star is None
+                    else success_mask(mesh, x_star, success_radius),
+                    snapshot_times=snapshot_times, stride=observable_stride,
+                    mesh=mesh)
 
     n, last = mesh.nodes_per_edge, mesh.dim - 1
     kin_axis = _axis_kinetic_eigenvalues(n)
@@ -707,9 +729,12 @@ def qaa_evolve(diag: np.ndarray, sched: Schedule, T: float, dt: float, *,
 
     shape = (2,) * n
     diag_nd = diag.reshape(shape)
-    smask = (within_radius(points, x_star, radius).reshape(shape)
-             if points is not None and x_star is not None else None)
-    rec = _Recorder(0.0, T, dt, diag_nd, smask, stride=observable_stride)
+    # in row blocks: one whole-batch call makes three point-sized temporaries
+    rec = _Recorder(0.0, T, dt, diag_nd,
+                    None if points is None or x_star is None
+                    else _eval_rows(lambda p: within_radius(p, x_star, radius),
+                                    points, bool),
+                    stride=observable_stride)
     bad = np.flatnonzero(~np.isfinite(diag))
     if bad.size:
         raise EvaluationError(f"diagonal is non-finite at index {bad[0]}",

@@ -431,10 +431,11 @@ def relaxed_qhd_evolve(qp: QpInstance, r: int, sched: Schedule, T: float,
         raise ResourceError(f"grid of {mesh.size} nodes exceeds the cap")
     fvals = discretize_objective(mesh, qp_objective(qp)).values.reshape(
         mesh.shape)
-    smask = (success_mask(mesh, x_star, success_radius).reshape(mesh.shape)
-             if x_star is not None else None)
-    rec = _Recorder(t0, T, dt, fvals, smask, snapshot_times=snapshot_times,
-                    stride=observable_stride, mesh=mesh)
+    rec = _Recorder(t0, T, dt, fvals,
+                    None if x_star is None
+                    else success_mask(mesh, x_star, success_radius),
+                    snapshot_times=snapshot_times, stride=observable_stride,
+                    mesh=mesh)
     kin, pot = sched.kinetic_coeff, sched.potential_coeff
     return rec.finish(_strang_evolve(
         fvals, r, lambda t: kin(t) * r ** 2 / 2.0, pot, rec))

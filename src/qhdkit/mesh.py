@@ -78,6 +78,34 @@ def _density(amp: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def _pairwise_sums(n: int, leaf, start: int = 0) -> tuple:
+    """Sums over a virtual flat array of ``n`` entries from ``start`` on, in
+    the order of numpy's own pairwise summation, so each has the bits of
+    ``np.sum`` over the whole array while only leaf-sized values exist.
+    This mirrors numpy's internal ``pairwise_sum``, as ``_row_sum`` does
+    its row sum; ``tests/test_mesh.py::test_pairwise_sums_keep_numpy_sum_bits``
+    pins it. A range of at most max(``GRID_BLOCK``, 128) entries is a
+    leaf: ``leaf(a, b)`` returns a tuple of ``np.sum`` results over
+    [a, b). A longer range is cut at n // 2 - (n // 2) % 8, as numpy cuts
+    it, and the halves' tuples are added element by element. numpy's cuts
+    on a range depend only on its length, so each leaf's ``np.sum`` is
+    exactly numpy's subtree. ``GRID_BLOCK`` is read at each call."""
+    if n <= max(GRID_BLOCK, 128):
+        return leaf(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return tuple(x + y for x, y in zip(
+        _pairwise_sums(half, leaf, start),
+        _pairwise_sums(n - half, leaf, start + half)))
+
+
+def _sq_norm(amp: np.ndarray) -> np.floating:
+    """sum |amp|^2 with the bits of ``np.sum(_density(amp))``, from one
+    density block per leaf of ``_pairwise_sums``; ``amp`` is contiguous."""
+    flat = amp.reshape(-1)
+    return _pairwise_sums(flat.size,
+                          lambda a, b: (_density(flat[a:b]).sum(),))[0]
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Regular grid over [0, 1]^dim.
@@ -144,7 +172,7 @@ class WaveFunction:
         if amp.size != self.mesh.size:
             raise ValueError(
                 f"expected {self.mesh.size} amplitudes, got {amp.size}")
-        nrm = np.sum(_density(amp))
+        nrm = _sq_norm(amp)
         if not np.isfinite(nrm) or abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"wavefunction is not unit norm: sum|c|^2 = {nrm}")
 
@@ -350,14 +378,27 @@ def _row_sum(terms):
     return total
 
 
+def _sq_dist_blocks(mesh: Mesh, point: np.ndarray):
+    """Yield ``(start, block)``: the squared Euclidean distances from the
+    nodes ``start, start + 1, ...`` to ``point`` (one float per axis), one
+    flat block per row block of axis 0 that ``_axis_slices`` cuts, so no
+    temporary is larger than a block. Each block is ``_row_sum`` of the
+    axes' 1-D squared differences, axis 0's taken over the block's rows
+    only, so its elements have the bits of ``np.sum((mesh.node_coords() -
+    point) ** 2, axis=1)``."""
+    axis, n = mesh.axis_coords(), mesh.nodes_per_edge
+    shapes = _axis_shapes(mesh.dim)
+    rest = [((axis - p) ** 2).reshape(shape)
+            for p, shape in zip(point[1:], shapes[1:])]
+    line = mesh.size // n
+    for s in _axis_slices(n, line):
+        lead = ((axis[s] - point[0]) ** 2).reshape(shapes[0])
+        yield s.start * line, _row_sum([lead] + rest).reshape(-1)
+
+
 def _sq_dist_grid(mesh: Mesh, point: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every node to ``point`` (one float
-    per axis), shaped like the grid: each axis's 1-D squared differences,
-    added in the order of ``np.sum((mesh.node_coords() - point) ** 2,
-    axis=1)`` so the bits match it, with no (size, dim) temporary."""
-    axis = mesh.axis_coords()
-    return _row_sum([((axis - p) ** 2).reshape(shape)
-                     for p, shape in zip(point, _axis_shapes(mesh.dim))])
+    """The (size,) squared distances of ``_sq_dist_blocks`` in one array."""
+    return _eval_blocks(lambda d: d, _sq_dist_blocks(mesh, point), mesh.size)
 
 
 def gaussian_state(mesh: Mesh, center, variance: float) -> WaveFunction:
@@ -371,12 +412,18 @@ def gaussian_state(mesh: Mesh, center, variance: float) -> WaveFunction:
         _require_real("center", c, strict=False)
     if np.any(center > 1.0):
         raise ValueError(f"center {center} lies outside [0,1]^d")
-    density = _sq_dist_grid(mesh, center).reshape(-1)
-    np.negative(density, out=density)
-    density /= 2.0 * variance
-    np.exp(density, out=density)
-    density /= np.sum(density)
-    amp = np.sqrt(density, out=density).astype(complex)
+    # the density is made in the real part of the result: exp on each
+    # contiguous block (numpy's strided exp may take another path), then
+    # normalized and square-rooted in place
+    amp = np.zeros(mesh.size, dtype=complex)
+    density = amp.real
+    for start, block in _sq_dist_blocks(mesh, center):
+        np.negative(block, out=block)
+        block /= 2.0 * variance
+        density[start:start + block.size] = np.exp(block, out=block)
+    density /= _pairwise_sums(mesh.size,
+                              lambda a, b: (density[a:b].sum(),))[0]
+    np.sqrt(density, out=density)
     return WaveFunction(mesh, amp)
 
 
@@ -440,12 +487,12 @@ def within_radius(points, x_star, radius: float) -> np.ndarray:
 def success_mask(mesh: Mesh, x_star, radius: float) -> np.ndarray:
     """Boolean node mask used by evolution loops to track success mass:
     ``within_radius(mesh.node_coords(), x_star, radius)``, bit for bit,
-    from one float grid of distances. An ``x_star`` that is not
+    from one block of distances at a time. An ``x_star`` that is not
     ``mesh.dim`` coordinates raises ``ValueError``."""
     _require_real("radius", radius)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     if x_star.size != mesh.dim:
         raise ValueError(f"x_star must have {mesh.dim} coordinates, "
                          f"got {x_star.tolist()!r}")
-    dist = _sq_dist_grid(mesh, x_star).reshape(-1)
-    return _inside(np.sqrt(dist, out=dist), radius)
+    return _eval_blocks(lambda d: _inside(np.sqrt(d, out=d), radius),
+                        _sq_dist_blocks(mesh, x_star), mesh.size, bool)

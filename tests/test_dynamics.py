@@ -14,11 +14,12 @@ from scipy.linalg import expm
 
 import qhdkit as qk
 from qhdkit import dynamics
+from qhdkit import mesh as mesh_mod
 from qhdkit.dynamics import Radix2Problem, kinetic_eigenvalues
 from qhdkit.errors import (EvaluationError, ResourceError,
                            ScheduleValidationError, StabilityError,
                            StepGridError)
-from qhdkit.mesh import success_mask
+from qhdkit.mesh import success_mask, within_radius
 from qhdkit.objectives import Objective
 
 
@@ -296,6 +297,7 @@ def _state_sizes_used(what, working_memory):
         "lyapunov_W": lambda: qk.lyapunov_W(psi, sched, 1.0, fop,
                                             f.minimizer),
         "gaussian_state": lambda: qk.gaussian_state(mesh, [0.4, 0.6], 0.01),
+        "WaveFunction": lambda: qk.WaveFunction(mesh, psi.amplitudes),
     }[what]
     return working_memory(call) / psi.amplitudes.nbytes
 
@@ -319,6 +321,77 @@ def test_block_buffers_keep_working_memory_below_state_sizes(
     # neither holds a full-grid complex phase or momentum buffer
     used = _state_sizes_used(what, working_memory)
     assert used <= bound, f"{what} used {used:.2f} states of working memory"
+
+
+@pytest.mark.parametrize("what, bound", [
+    ("qhd_evolve", 1.4), ("WaveFunction", 0.1), ("gaussian_state", 1.25)])
+def test_block_sums_keep_working_memory_near_the_state(what, bound,
+                                                       working_memory):
+    # observations, normalizations and norm checks sum |psi|^2 one block at
+    # a time, and gaussian_state makes its density in the real part of its
+    # result, so none of them holds a full-grid float density
+    used = _state_sizes_used(what, working_memory)
+    assert used <= bound, f"{what} used {used:.2f} states of working memory"
+
+
+def _whole_density_observables(psi, fvals, smask):
+    """Norm, success mass, E[f] and normalized state by the recorder's
+    earlier formulas, each from one whole-grid density."""
+    prob = np.abs(psi.reshape(-1)) ** 2
+    nrm = float(prob.sum())
+    return (nrm, float(np.sum(prob[smask.reshape(-1)])) / nrm,
+            float(np.sum(prob * fvals.reshape(-1))) / nrm,
+            psi.reshape(-1) / np.sqrt(np.sum(prob)))
+
+
+@pytest.mark.parametrize("shape", [(4097,), (5000,), (64, 64), (100, 100),
+                                   (130, 130), (20, 20, 20)])
+def test_recorder_block_sums_keep_whole_density_bits(shape):
+    rng = np.random.default_rng(sum(shape))
+    scale = 10.0 ** rng.uniform(-3, 3, shape)
+    psi = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    fvals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    one = np.zeros(shape, dtype=bool)
+    one.flat[rng.integers(psi.size)] = True
+    for smask in (one, np.zeros(shape, dtype=bool), rng.random(shape) < 0.1):
+        rec = dynamics._Recorder(0.0, 2.0, 1.0, fvals, smask,
+                                 snapshot_times=[1.0])
+        rec.record(1, psi)
+        traj = rec.finish(psi.copy())
+        nrm, sp, ef, unit = _whole_density_observables(psi, fvals, smask)
+        assert traj.observables["norm"].tolist() == [nrm]
+        assert traj.observables["success_prob"].tolist() == [sp]
+        assert traj.observables["Ef"].tolist() == [ef]
+        assert np.array_equal(traj.snapshots[0], unit)
+        assert np.array_equal(traj.snapshots[1], unit)
+
+
+def test_qhd_observables_on_two_slabs_keep_whole_density_bits(monkeypatch):
+    # 512^2 on two slabs: 64 leaves of 4096 nodes per sum; success regions
+    # of one node and of none
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    mesh = qk.Mesh(2, 512, qk.PERIODIC)
+    assert dynamics._slab_count(mesh) == 2
+    fop = qk.discretize_objective(mesh, lambda x: 40.0 * np.sum(
+        (x - 0.3) ** 2, axis=1) + np.cos(9.0 * x[:, 0]))
+    sched = qk.make_schedule("nesterov_three_param")
+    psi0 = _random_state(mesh, seed=512)
+    ref = _fftn_split_steps(mesh, fop.values, sched, 1.0, 2, 1e-3,
+                            psi0.amplitudes)
+    node = mesh.node_coords()[100 * 512 + 200]
+    for x_star, nodes in ((node, 1), (node + 0.5 / 512, 0)):
+        traj = qk.qhd_evolve(mesh, fop, sched, 1.002, 1e-3, psi0,
+                             snapshot_times=[1.001], t0=1.0, x_star=x_star,
+                             success_radius=0.25 / 512)
+        smask = success_mask(mesh, x_star, 0.25 / 512)
+        assert np.count_nonzero(smask) == nodes
+        for s in (1, 2):
+            nrm, sp, ef, unit = _whole_density_observables(
+                ref[s - 1], fop.values, smask)
+            assert traj.observables["norm"][s - 1] == nrm
+            assert traj.observables["success_prob"][s - 1] == sp
+            assert traj.observables["Ef"][s - 1] == ef
+            assert np.array_equal(traj.snapshots[s - 1].amplitudes, unit)
 
 
 def _fftn_split_steps(mesh, fvals, sched, t0, n_steps, dt, psi):
@@ -709,6 +782,43 @@ def _never(t):
 
 _NEVER = qk.Schedule(kinetic_coeff=_never, potential_coeff=_never,
                      anneal_fraction=_never)
+
+
+def test_qaa_success_mask_in_row_blocks_keeps_whole_batch_bits(monkeypatch):
+    masks = []
+
+    class Spy(dynamics._Recorder):
+        def __init__(self, t0, T, dt, fvals, smask=None, **kw):
+            masks.append(smask)
+            super().__init__(t0, T, dt, fvals, smask, **kw)
+
+    monkeypatch.setattr(dynamics, "_Recorder", Spy)
+    # 1024 points in ten blocks of 100 and one of 24
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", 100)
+    f = qk.get_objective("levy")
+    prob = qk.radix2_problem(f, 5)
+    qk.qaa_evolve(prob.diag, qk.make_schedule("linear_qaa", horizon=0.1),
+                  0.1, 1e-2, points=prob.points, x_star=f.minimizer,
+                  radius=0.3)
+    want = within_radius(prob.points, f.minimizer, 0.3)
+    assert 0 < np.count_nonzero(want) < want.size
+    assert masks[0].dtype == bool and np.array_equal(masks[0], want)
+
+
+def test_qaa_success_mask_works_in_block_sized_memory(working_memory):
+    # one whole-batch within_radius over the 2^20 points (16 MiB) took
+    # +48 MiB; a dt far past the stability limit stops the call right
+    # after its recorder, success mask included, is built
+    f = qk.get_objective("levy")
+    prob = qk.radix2_problem(f, 10)
+
+    def call():
+        with pytest.raises(StabilityError):
+            qk.qaa_evolve(prob.diag, _NEVER, 1.0, 1.0, points=prob.points,
+                          x_star=f.minimizer, radius=0.1)
+
+    used = working_memory(call)
+    assert used <= prob.points.nbytes / 4, f"{used / 2 ** 20:.1f} MiB"
 
 
 def _leapfrog_qaa(diag, T, dt):

@@ -9,8 +9,9 @@ import qhdkit as qk
 from qhdkit.errors import EvaluationError
 from qhdkit import mesh as mesh_mod
 from qhdkit.mesh import (GRID_BLOCK, _axis_slices, _chain_adjacency,
-                         _coord_blocks, _density, _eval_rows, _require_real,
-                         _row_sum, _sq_dist_grid, kron_sum, lattice_adjacency,
+                         _coord_blocks, _density, _eval_rows, _pairwise_sums,
+                         _require_real, _row_sum, _sq_dist_blocks,
+                         _sq_dist_grid, _sq_norm, kron_sum, lattice_adjacency,
                          point_mass, success_mask, within_radius)
 
 
@@ -170,6 +171,32 @@ def test_row_sum_keeps_numpy_row_sum_bits(n):
     assert np.array_equal(_row_sum(list(cols.T)), np.sum(cols, axis=1))
 
 
+@pytest.mark.parametrize("block", [1, 7, 128, 4096])
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 4095, 4096, 4097, 5000,
+                               2 ** 18])
+def test_pairwise_sums_keep_numpy_sum_bits(n, block, monkeypatch):
+    # numpy's pairwise order, mirrored leaf by leaf; values spread over
+    # decades make any other order show in the last bits
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", block)
+    rng = np.random.default_rng(n)
+    x = rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    leaves = []
+
+    def leaf(a, b):
+        leaves.append((a, b))
+        return np.sum(x[a:b]), np.sum(y[a:b])
+
+    got = _pairwise_sums(n, leaf)
+    assert np.array_equal(got, (np.sum(x), np.sum(y)))
+    # the leaves tile [0, n) in order, none longer than GRID_BLOCK or 128
+    assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
+    assert leaves[-1][1] == n
+    assert max(b - a for a, b in leaves) <= max(block, 128)
+    amp = x + 1j * y
+    assert _sq_norm(amp) == np.sum(np.abs(amp) ** 2)
+
+
 def _mesh_up_to(dim, nodes, boundary):
     """The finest mesh of that dimension with at most ``nodes`` nodes."""
     cells = max(1, int(nodes ** (1.0 / dim)) - (boundary == qk.DIRICHLET))
@@ -213,6 +240,40 @@ def test_gaussian_state_and_point_mass_bitwise_equal_to_old_formulas(dim):
                       / m.cells_per_edge):
             idx = int(np.argmin(np.sum((coords - point) ** 2, axis=1)))
             assert point_mass(m, point).amplitudes[idx] == 1.0
+
+
+@pytest.mark.parametrize("dim, n, block, rows", [
+    (1, 1000, 7, [6, 7]),       # uneven blocks of a 1-D grid
+    (1, 4097, 4096, [2048, 2049]),
+    (2, 40, 40, [1]),           # single rows
+    (2, 40, 300, [6, 7]),       # uneven blocks of rows
+    (3, 12, 144, [1]),          # single rows of a 3-D grid
+    (3, 13, 400, [1, 2]),       # uneven blocks of a 3-D grid
+])
+def test_gaussian_state_and_success_mask_from_row_blocks_keep_old_bits(
+        dim, n, block, rows, monkeypatch):
+    # both are made one axis-0 row block of distances at a time; the
+    # formulas of the whole (size, dim) coordinate table are written out
+    monkeypatch.setattr(mesh_mod, "GRID_BLOCK", block)
+    rng = np.random.default_rng(300 + dim)
+    m = qk.Mesh(dim, n, qk.PERIODIC)
+    line = m.size // n
+    center = rng.uniform(0, 1, dim)
+    sizes = {b.size // line for _, b in _sq_dist_blocks(m, center)}
+    assert sizes == set(rows)
+    coords = m.node_coords()
+    for variance in (0.02, 3.0):
+        d2 = np.sum((coords - center) ** 2, axis=1)
+        density = np.exp(-d2 / (2.0 * variance))
+        old = np.sqrt(density / np.sum(density)).astype(complex)
+        assert np.array_equal(qk.gaussian_state(m, center, variance).amplitudes,
+                              old)
+    for x_star in (center, coords[rng.integers(m.size)]):
+        dist = np.sqrt(np.sum((coords - x_star) ** 2, axis=1))
+        # radii equal to node distances put nodes exactly on the radius
+        for radius in rng.choice(dist[dist > 0], 5):
+            assert np.array_equal(success_mask(m, x_star, radius),
+                                  dist < radius * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [0.5, np.inf]])
