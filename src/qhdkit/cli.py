@@ -53,7 +53,17 @@ def _write_observables(out, traj):
     return out
 
 
+def _check_grid_flags(args, reals):
+    """Check --resolution (an integer >= 1) and the real flags ``reals``
+    (finite and > 0) under the flags' own names, before any library call
+    reports them under its parameter names."""
+    mesh._require_count("--resolution", args.resolution)
+    for name in reals:
+        mesh._require_real(f"--{name}", getattr(args, name))
+
+
 def cmd_simulate_qhd(args):
+    _check_grid_flags(args, ("T", "dt", "stepsize"))
     f = objectives.get_objective(args.objective)
     grid = mesh.Mesh(f.dim, args.resolution, mesh.PERIODIC)
     sched = _SCHEDULES[args.schedule](args.stepsize, args.T)
@@ -97,6 +107,7 @@ def cmd_classical(args):
 
 
 def cmd_spectrum(args):
+    _check_grid_flags(args, ("dt", "stepsize"))
     if not 1 <= args.levels <= spectral.MAX_LEVELS:
         raise ValueError(f"--levels must be between 1 and "
                          f"{spectral.MAX_LEVELS}, got {args.levels}")

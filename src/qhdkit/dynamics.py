@@ -14,11 +14,14 @@ Conventions pinned for reproducibility across modules:
   evaluated there and the first coefficients are those at t0 + dt.
 * Each split step applies the potential phase first, then the kinetic phase
   in Fourier space. The kinetic phase is a product of per-axis 1-D phases,
-  since its eigenvalue is a sum over axes; the potential phase is cos/sin
-  of its angle, made one row block at a time (at most ``mesh.GRID_BLOCK``
-  nodes, at least one row) in a block buffer that each slab makes once per
-  call; the state is multiplied and transformed in place, so it is the
-  only full complex grid a step holds.
+  since its eigenvalue is a sum over axes. The potential phase is made one
+  row block at a time (at most ``mesh.GRID_BLOCK`` nodes, at least one
+  row) in a block buffer that each slab makes once per call: gathered from
+  cos/sin taken once per distinct potential value when at most half the
+  nodes carry distinct values, else cos/sin of each node's angle. Both do
+  the same arithmetic on the same floats, so they agree bit for bit. The
+  state is multiplied and transformed in place, so it is the only full
+  complex grid a step holds.
 * A split step runs in four stages on independent slabs of the grid: the
   potential phase and the FFTs along axes d-1, ..., 1 on slabs of axis 0;
   the FFT along axis 0 and the kinetic phases on slabs of the last axis;
@@ -284,21 +287,25 @@ class _Recorder:
     at the last step, and the snapshots, the final state always among them.
     ``fvals`` and the boolean ``smask`` have one entry per entry of the
     engine's (contiguous) state, in its flat order; the recorder keeps
-    ``smask`` as the flat indices of its success nodes. ``mesh`` wraps
-    snapshots as WaveFunctions (plain flat vectors when None). Steps are
-    counted from 1, so step m ends at t0 + m dt. A stride that is not an
+    ``smask`` as the flat indices of its success nodes. ``fvals`` may
+    instead index a table of levels (see ``watch``), as on the level path
+    of ``qhd_evolve``. ``mesh`` wraps snapshots as WaveFunctions (plain
+    flat vectors when None). Steps are counted from 1, so step m ends at
+    t0 + m dt. The step grid, the stride and the snapshot times are checked
+    on construction, before ``fvals`` is needed; a stride that is not an
     integer >= 1 raises ``ValueError``. No observation or normalization
     makes a full-grid density: sums of |psi|^2 run one block at a time
     through ``mesh._pairwise_sums``, with the bits of whole-array sums.
     """
 
-    def __init__(self, t0, T, dt, fvals, smask=None, *, snapshot_times=(),
-                 stride=1, mesh=None):
+    def __init__(self, t0, T, dt, fvals=None, smask=None, *,
+                 snapshot_times=(), stride=1, mesh=None):
         _require_count("observable stride", stride)
         self.t0, self.dt, self.stride = t0, dt, stride
         self.n_steps = _step_count(t0, T, dt)
-        self.fvals, self.mesh = fvals.reshape(-1), mesh
-        self.success = None if smask is None else np.flatnonzero(smask)
+        self.mesh = mesh
+        if fvals is not None:
+            self.watch(fvals, smask)
         self.snap_steps = {}
         for ts in snapshot_times:
             m = (ts - t0) / dt
@@ -310,6 +317,15 @@ class _Recorder:
         self.times, self.efs, self.sps, self.norms = [], [], [], []
         self.snap_ts, self.snaps = [], []
 
+    def watch(self, fvals, smask=None, levels=None):
+        """Observe E[f] of ``fvals`` and the success mass on ``smask``; the
+        constructor does this when given ``fvals``, an engine that checks
+        the step grid before it evaluates its potential does it after.
+        With ``levels``, ``fvals`` is an index into that table, and E[f]
+        reads each leaf's values as ``levels.take(fvals[a:b])``."""
+        self.fvals, self.levels = fvals.reshape(-1), levels
+        self.success = None if smask is None else np.flatnonzero(smask)
+
     def due(self, step: int) -> bool:
         return step % self.stride == 0 or step == self.n_steps
 
@@ -317,18 +333,21 @@ class _Recorder:
         """Record the observables of the state ``psi`` after ``step``.
         Each leaf of ``mesh._pairwise_sums`` makes one density block: the
         norm is its sum, E[f] the sum of the block times the leaf's
-        ``fvals``, multiplied in place. The success mass is the sum of the
+        ``fvals`` (the levels its index names, on the level path: the same
+        floats), multiplied in place. The success mass is the sum of the
         density of the amplitudes gathered at the success nodes, in index
         order. All three have the bits of sums over a whole-grid density.
         A grid of at most ``GRID_BLOCK`` nodes is one leaf."""
-        amp, fvals = psi.reshape(-1), self.fvals
+        amp, fvals, levels = psi.reshape(-1), self.fvals, self.levels
 
         def leaf(a, b):
             prob = _density(amp[a:b])
             nrm = prob.sum()
-            # a blown-up block is not multiplied: inf * 0 would warn
-            return nrm, (np.multiply(prob, fvals[a:b], out=prob).sum()
-                         if math.isfinite(nrm) else nrm)
+            if not math.isfinite(nrm):
+                # a blown-up block is not multiplied: inf * 0 would warn
+                return nrm, nrm
+            f = fvals[a:b] if levels is None else levels.take(fvals[a:b])
+            return nrm, np.multiply(prob, f, out=prob).sum()
 
         nrm, ef = _pairwise_sums(amp.size, leaf)
         nrm = float(nrm)
@@ -529,6 +548,54 @@ def _slab_count(mesh: Mesh) -> int:
     return max(1, min(_usable_cpus(), mesh.size // SLAB_NODES))
 
 
+def _level_table(values: np.ndarray, own: bool):
+    """``(levels, index, level_phase)`` for the flat float potential
+    ``values`` when at most half its nodes carry distinct values, else
+    None.
+
+    ``levels`` holds each distinct bit pattern once, -0.0 and +0.0 apart,
+    sorted as int64 bit patterns; ``index`` holds an int32 per node with
+    ``levels[index]`` equal to ``values`` bit for bit; ``level_phase`` is
+    an uninitialized complex buffer as long as ``levels``. The distinct
+    values are found one block of at most ``GRID_BLOCK`` nodes at a time:
+    a block's uniques wait until they hold as many entries as the running
+    table, then all are merged, sorted in place; a table past half the
+    nodes is dropped. So a merge holds about twice the table at most, and
+    a grid left on the per-node path keeps nothing. The index is then
+    searched block by block on the values' bit patterns. With ``own``,
+    ``values`` is given up: the index is written into its first half, each
+    block once the block is read, so it takes the potential's place, and
+    the levels and their phases go into the other half when they fit."""
+    def distinct(a):
+        # np.unique would import numpy.ma, about 1 MiB, on its first call
+        a.sort()
+        return a[np.insert(a[1:] != a[:-1], 0, True)]
+
+    n = values.size
+    table, pending, count = np.empty(0), [], 0
+    for s in _axis_slices(n, 1):
+        pending.append(distinct(values[s].copy()))
+        count += pending[-1].size
+        if count >= table.size or s.stop == n:
+            table = np.concatenate([table] + pending)
+            pending, count = [], 0
+            table = distinct(table)
+            if 2 * table.size > n:
+                return None
+    # unique keeps one of -0.0 and +0.0; the bit patterns tell them apart
+    keys = np.sort(np.append(table, -table[table == 0]).view(np.int64))
+    index = values.view(np.int32)[:n] if own else np.empty(n, np.int32)
+    for s in _axis_slices(n, 1):
+        index[s] = np.searchsorted(keys, values[s].view(np.int64))
+    m = keys.size
+    if own and 3 * m <= n // 2:
+        # the levels and their phases fit in the half the index left free
+        spare = values[n - n // 2:]
+        spare[:m] = keys.view(float)
+        return spare[:m], index, spare[m:3 * m].view(complex)
+    return keys.view(float), index, np.empty(m, dtype=complex)
+
+
 def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
                psi0: WaveFunction = None, snapshot_times=(), *,
                t0: float = 0.0, x_star=None, success_radius: float = 0.1,
@@ -541,9 +608,17 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     ``psi0``, which is left unchanged, or else a fresh uniform state. The
     potential phase is made one row block at a time, at most
     ``mesh.GRID_BLOCK`` nodes and at least one row of axis 0, in a block
-    buffer that each slab makes once per call: the angle is written into
-    its imaginary part, cos of it into the real part, then sin in place,
-    and the state's block is multiplied by it. The FFTs overwrite the
+    buffer that each slab makes once per call, and the state's block is
+    multiplied by it. Its angle is written into an imaginary part, cos of
+    it into the real part, then sin in place: per node, into the block
+    buffer, or, on the level path, once per distinct potential value into
+    a table that this thread fills each step and the blocks gather from.
+    The level path runs when at most half the nodes carry distinct values
+    (see ``_level_table``, built after the step-grid checks and before the
+    state is made). Its int32 index takes the place of a potential this
+    call evaluated itself; a caller's ``DiagonalOperator`` is only read.
+    E[f] reads the potential through the table, the same floats, so every
+    output keeps the bits of the per-node phase. The FFTs overwrite the
     state. The kinetic eigenvalue is a sum over axes, so its phase is a
     product of one length-N phase per axis, built once per step and
     multiplied in along each axis in turn. So a run holds one full complex
@@ -575,16 +650,22 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     ``snapshot_times`` and at T.
     """
     mesh.require(PERIODIC)
-    fop = f if isinstance(f, DiagonalOperator) else discretize_objective(mesh, f)
-    fvals = fop.values.reshape(mesh.shape)
+    # the step grid is checked before anything is computed
+    rec = _Recorder(t0, T, dt, snapshot_times=snapshot_times,
+                    stride=observable_stride, mesh=mesh)
+    own = not isinstance(f, DiagonalOperator)
+    fvals = (discretize_objective(mesh, f) if own else f).values
     if x_star is None and getattr(f, "minimizer", None) is not None:
         x_star = np.asarray(f.minimizer, dtype=float)
+    # before the state is made; a caller's operator is never written to
+    table = _level_table(fvals, own)
+    levels = None
+    if table is not None:
+        levels, fvals, level_phase = table
     # the recorder keeps the mask's flat indices; the mask is not held
-    rec = _Recorder(t0, T, dt, fvals,
-                    None if x_star is None
-                    else success_mask(mesh, x_star, success_radius),
-                    snapshot_times=snapshot_times, stride=observable_stride,
-                    mesh=mesh)
+    rec.watch(fvals, None if x_star is None
+              else success_mask(mesh, x_star, success_radius), levels)
+    fvals = fvals.reshape(mesh.shape)
 
     n, last = mesh.nodes_per_edge, mesh.dim - 1
     kin_axis = _axis_kinetic_eigenvalues(n)
@@ -610,9 +691,14 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
         part, f_part, buf, blocks = row
         for s in blocks:
             phase, block = buf[:s.stop - s.start], part[s]
-            np.multiply(coeff, f_part[s], out=phase.imag)
-            np.cos(phase.imag, out=phase.real)
-            np.sin(phase.imag, out=phase.imag)
+            if levels is None:
+                np.multiply(coeff, f_part[s], out=phase.imag)
+                np.cos(phase.imag, out=phase.real)
+                np.sin(phase.imag, out=phase.imag)
+            else:
+                # every index is in range; the default mode="raise" would
+                # copy the output through a buffer
+                np.take(level_phase, f_part[s], out=phase, mode="clip")
             block *= phase
         for ax in inner_axes:
             np.fft.fft(part, axis=ax, out=part)
@@ -651,8 +737,13 @@ def qhd_evolve(mesh: Mesh, f, sched: Schedule, T: float, dt: float,
     try:
         for j in range(rec.n_steps):
             te = t0 + (j + 1) * dt
-            on_slabs(potential_then_inner_ffts, rows,
-                     -dt * sched.potential_coeff(te))
+            coeff = -dt * sched.potential_coeff(te)
+            if levels is not None:
+                # the operations of the per-node path, once per level
+                np.multiply(coeff, levels, out=level_phase.imag)
+                np.cos(level_phase.imag, out=level_phase.real)
+                np.sin(level_phase.imag, out=level_phase.imag)
+            on_slabs(potential_then_inner_ffts, rows, coeff)
             on_slabs(first_fft_then_kinetic, cols,
                      np.exp(-1j * dt * sched.kinetic_coeff(te) * kin_axis))
             on_slabs(inner_iffts, rows)

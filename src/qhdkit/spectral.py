@@ -275,20 +275,6 @@ def semiclassical_ratio(omega) -> float:
     return float((w1 + 3.0 * w2) / (w1 + w2))
 
 
-def _momentum_apply(grid: np.ndarray, axis: int) -> np.ndarray:
-    """-i d/dx along one axis of a periodic grid via spectral
-    differentiation, as one new array: the FFT, scaled by 2 pi k and
-    inverse-transformed in place."""
-    n = grid.shape[axis]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    out = np.fft.fft(grid, axis=axis)
-    # the wavenumbers first: numpy's complex product is not bitwise
-    # symmetric in its operands
-    np.multiply(2.0 * np.pi * k.reshape(_axis_shapes(grid.ndim)[axis]), out,
-                out=out)
-    return np.fft.ifft(out, axis=axis, out=out)
-
-
 def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
                f: DiagonalOperator, center) -> float:
     """Convex-descent Lyapunov value at time t:
@@ -303,8 +289,11 @@ def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
     most ``GRID_BLOCK`` nodes each (column blocks of the (n, size / n)
     view for axis 0, row blocks for the others), and |J psi|^2 written
     into one float density made once per call; the density is summed
-    whole, and then reused for f |psi|^2. So the working memory is that
-    density and a few block-sized temporaries.
+    whole, and then reused for f |psi|^2. The momentum p psi is spectral
+    differentiation: the FFT along the axis, written into one block buffer
+    that grows to the largest block, times 2 pi k (the wavenumbers built
+    once per call), and the inverse FFT in place. So the working memory is
+    that density, the block buffer and a few block-sized temporaries.
     """
     mesh = psi.mesh
     mesh.require(PERIODIC)
@@ -318,6 +307,8 @@ def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
     dens = np.empty(mesh.shape)
     coords = mesh.axis_coords()
     e_neg_gamma = np.exp(-sched.gamma(t))
+    two_pi_k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+    buf = np.empty(0, dtype=complex)
     j_sq = 0.0
     for ax, shape in enumerate(_axis_shapes(mesh.dim)):
         if ax == 0:
@@ -327,11 +318,18 @@ def lyapunov_W(psi: WaveFunction, sched: Schedule, t: float,
         else:
             grid_v, dens_v, blocks = grid, dens, _axis_slices(n, rest)
         xc = (coords - center[ax]).reshape(shape)
+        k_ax = two_pi_k.reshape(shape)
         for s in blocks:
-            # J psi formed in the momentum's array, each product's operands
-            # in the order of e^-gamma p psi + (x - x*) psi
+            # J psi formed in the block buffer, each product's operands in
+            # the order of e^-gamma p psi + (x - x*) psi; the wavenumbers
+            # first, as numpy's complex product is not bitwise symmetric
             part, out = grid_v[s], dens_v[s]
-            j_psi = _momentum_apply(part, ax)
+            if buf.size < part.size:
+                buf = np.empty(part.size, dtype=complex)
+            j_psi = buf[:part.size].reshape(part.shape)
+            np.fft.fft(part, axis=ax, out=j_psi)
+            np.multiply(k_ax, j_psi, out=j_psi)
+            np.fft.ifft(j_psi, axis=ax, out=j_psi)
             np.multiply(e_neg_gamma, j_psi, out=j_psi)
             j_psi += xc * part
             np.abs(j_psi, out=out)

@@ -100,7 +100,7 @@ def test_classical_rejects_bad_input_before_any_iteration(
 
 @pytest.mark.parametrize("argv, why", [
     (["simulate-qhd", "--resolution", "8", "--T", "inf"],
-     "T - t0 must be finite and > 0, got inf"),
+     "--T must be finite and > 0, got inf"),
     (["tts", "--tf", "nan", "--ps", "0.5"],
      "t_f must be finite and > 0, got nan"),
     (["simulate-qaa", "--bits", "4", "--T", "1", "--dt", "0.5"],
@@ -112,6 +112,31 @@ def test_bad_real_inputs_end_on_one_line(argv, why, tmp_path, capsys):
     out = tmp_path / "out"
     with _input_error(capsys, argv[0], why):
         main(argv if argv[0] == "tts" else argv + ["--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, why", [
+    ("simulate-qhd", "--resolution", "0", "an integer >= 1, got 0"),
+    ("simulate-qhd", "--T", "0", "finite and > 0, got 0.0"),
+    ("simulate-qhd", "--dt", "nan", "finite and > 0, got nan"),
+    ("simulate-qhd", "--stepsize", "-1", "finite and > 0, got -1.0"),
+    ("spectrum", "--resolution", "-2", "an integer >= 1, got -2"),
+    ("spectrum", "--dt", "inf", "finite and > 0, got inf"),
+    ("spectrum", "--stepsize", "0", "finite and > 0, got 0.0"),
+])
+def test_split_step_commands_name_the_bad_flag(command, flag, value, why,
+                                               tmp_path, monkeypatch, capsys):
+    # used to name the library's parameter (cells_per_edge, T - t0, dt,
+    # stepsize), and only once the library had been called
+    def never(name):
+        raise AssertionError("the library was called")
+
+    monkeypatch.setattr(qk.objectives, "get_objective", never)
+    out = tmp_path / "out"
+    argv = [command, "--times", "0.01"] if command == "spectrum" else [command]
+    with _input_error(capsys, command, "^qhdkit [a-z-]+: error: "
+                      + re.escape(f"{flag} must be {why}") + "$"):
+        main(argv + [flag, value, "--out", str(out)])
     assert not out.exists()
 
 

@@ -507,6 +507,177 @@ def test_qhd_phase_row_blocks_match_whole_grid_bitwise(dim, n, block, slabs,
         assert np.array_equal(blocked.observables[key], whole.observables[key])
 
 
+def _convex_objective(dim):
+    """The convex-512 quadratic, sum_i (i + 1) x_i^2 / L with x = L (u - 1/2)
+    and L = 14, on the unit box: symmetric about the centre, so each value
+    sits on several nodes."""
+    weights = np.arange(1.0, dim + 1.0)
+
+    def ev(u):
+        x = 14.0 * (np.atleast_2d(u) - 0.5)
+        return x ** 2 @ weights / 14.0
+
+    return Objective(dim=dim, eval_fn=ev, minimizer=np.full(dim, 0.5),
+                     f_min=0.0)
+
+
+def _level_potential(kind, mesh):
+    """A potential with at most half as many distinct values as nodes."""
+    n = mesh.size
+    rng = np.random.default_rng(n)
+    if kind == "convex":
+        return qk.discretize_objective(mesh, _convex_objective(mesh.dim))
+    if kind == "constant":
+        values = np.full(n, 0.7)
+    elif kind == "half-duplicated":
+        values = rng.standard_normal(n) * 10.0
+        values[n // 2:] = rng.choice(values[:n // 2], n - n // 2)
+    else:
+        # -0.0 and +0.0 compare equal but give other E[f] bits: a sum over
+        # -0.0 alone is -0.0, while any +0.0 makes it +0.0
+        values = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    return qk.DiagonalOperator(mesh, values)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, signed zeros and NaNs included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+class _LevelSpy(dynamics._Recorder):
+    """Records the level table each recorder is given."""
+    seen = []
+
+    def watch(self, fvals, smask=None, levels=None):
+        self.seen.append((fvals, levels))
+        super().watch(fvals, smask, levels)
+
+
+@pytest.mark.parametrize("kind", ["convex", "constant", "half-duplicated",
+                                  "signed-zeros"])
+@pytest.mark.parametrize("dim, n", [(1, 4097), (2, 64), (2, 100), (3, 20),
+                                    (2, 512)])
+def test_qhd_level_path_keeps_the_per_node_bits(dim, n, kind, monkeypatch):
+    # the phase taken once per distinct value and gathered onto each row
+    # block gives the states, observables and snapshots of the per-node
+    # phase bit for bit; 512^2 runs on two slabs
+    monkeypatch.setattr(dynamics, "_Recorder", _LevelSpy)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    mesh = qk.Mesh(dim, n, qk.PERIODIC)
+    assert dynamics._slab_count(mesh) == (2 if n == 512 else 1)
+    fop = _level_potential(kind, mesh)
+    values = fop.values.copy()
+    # the convex potential is evaluated by qhd_evolve itself, which gives
+    # its own values up to the index; the others are a caller's operator
+    f = _convex_objective(dim) if kind == "convex" else fop
+    sched = qk.make_schedule("nesterov_three_param")
+    x_star = np.full(dim, 0.3)
+    n_steps, stride = (2, 1) if n == 512 else (6, 4)
+    psi0 = _random_state(mesh, seed=n)
+    _LevelSpy.seen = []
+    traj = qk.qhd_evolve(mesh, f, sched, 1.0 + n_steps * 1e-3, 1e-3, psi0,
+                         snapshot_times=[1.001], t0=1.0, x_star=x_star,
+                         success_radius=0.2, observable_stride=stride)
+    (index, levels), = _LevelSpy.seen
+    # a symmetric quadratic on a line has (n + 1) // 2 distinct values,
+    # more than half the nodes: that one keeps the per-node phase
+    if 2 * np.unique(values).size <= values.size:
+        assert index.dtype == np.int32 and _same_bits(levels[index], values)
+    else:
+        assert (kind, dim) == ("convex", 1) and levels is None
+    assert _same_bits(fop.values, values)
+    ref = _fftn_split_steps(mesh, values, sched, 1.0, n_steps, 1e-3,
+                            psi0.amplitudes)
+    smask = success_mask(mesh, x_star, 0.2)
+    steps = [s for s in range(1, n_steps + 1)
+             if s % stride == 0 or s == n_steps]
+    want = [_whole_density_observables(ref[s - 1], values, smask)
+            for s in steps]
+    assert _same_bits(traj.observables["norm"], [w[0] for w in want])
+    assert _same_bits(traj.observables["success_prob"], [w[1] for w in want])
+    assert _same_bits(traj.observables["Ef"], [w[2] for w in want])
+    if kind == "signed-zeros":
+        assert all(str(e) == "0.0" for e in traj.observables["Ef"])
+    assert len(traj.snapshots) == 2
+    for snap, s in zip(traj.snapshots, (1, n_steps)):
+        unit = _whole_density_observables(ref[s - 1], values, smask)[3]
+        assert _same_bits(snap.amplitudes, unit)
+
+
+def test_level_table_rule_and_signed_zeros():
+    # the level path needs at most half the nodes to carry distinct values
+    rng = np.random.default_rng(3)
+    for n in (2, 4096, 4097, 9000):
+        distinct = rng.permutation(n)[:n // 2 + 1] / 7.0
+        for count, taken in ((n // 2, True), (n // 2 + 1, False)):
+            values = np.concatenate(
+                [distinct[:count], rng.choice(distinct[:count], n - count)])
+            rng.shuffle(values)
+            table = dynamics._level_table(values, False)
+            assert (table is not None) == taken
+            if taken:
+                levels, index, phase = table
+                assert np.unique(levels).size == count
+                assert _same_bits(levels[index], values)
+                assert phase.shape == levels.shape and phase.dtype == complex
+    # -0.0 and +0.0 are told apart, also when only one of them occurs
+    for values in ([0.0, -0.0, 1.0, 0.0], [-0.0, -0.0, 2.0, 2.0],
+                   [0.0, 0.0, 0.0, -1.0]):
+        values = np.array(values)
+        levels, index, _ = dynamics._level_table(values.copy(), False)
+        assert _same_bits(levels[index], values)
+
+
+def test_level_table_in_the_potential_it_replaces():
+    # given up by its owner, the potential's buffer holds the index in its
+    # first half and, where they fit, the levels and their phase buffer in
+    # the rest; the index still names every node's value bit for bit
+    mesh = qk.Mesh(2, 256, qk.PERIODIC)
+    values = qk.discretize_objective(mesh, _convex_objective(2)).values
+    want = values.copy()
+    levels, index, phase = dynamics._level_table(values, True)
+    assert _same_bits(levels[index], want)
+    for part in (index, levels, phase):
+        assert np.shares_memory(part, values)
+    assert index.nbytes + levels.nbytes + phase.nbytes <= values.nbytes
+
+
+def test_all_distinct_grid_keeps_the_per_node_phase(monkeypatch):
+    # the levy-2d grid: 4096 distinct values on 4096 nodes, where a gather
+    # would be pure cost; no index is made and the floats are observed
+    monkeypatch.setattr(dynamics, "_Recorder", _LevelSpy)
+    mesh = qk.Mesh(2, 64, qk.PERIODIC)
+    f = qk.get_objective("levy")
+    fop = qk.discretize_objective(mesh, f)
+    assert np.unique(fop.values).size == mesh.size
+    assert dynamics._level_table(fop.values, False) is None
+    sched = qk.make_schedule("nesterov_nonconvex")
+    _LevelSpy.seen = []
+    for pot in (fop, f):
+        qk.qhd_evolve(mesh, pot, sched, 1.02, 1e-2, t0=1.0)
+    (given, no_levels), (made, none_made) = _LevelSpy.seen
+    assert no_levels is None and none_made is None
+    assert given is fop.values
+    assert made.dtype == float and _same_bits(made, fop.values)
+
+
+def test_level_path_working_memory_in_state_sizes(working_memory):
+    # the convex potential at 256^2 has 10,062 distinct values on 65,536
+    # nodes. Evaluated by qhd_evolve, its buffer takes the index, the levels
+    # and their phases, so the run needs today's 1.72 states; the bound
+    # allows the two level tables (0.24 states) on top. A separate int32
+    # index beside the kept float potential (0.25 states more) exceeds it
+    mesh = qk.Mesh(2, 256, qk.PERIODIC)
+    f = _convex_objective(2)
+    sched = qk.make_schedule("nesterov_three_param")
+    used = working_memory(lambda: qk.qhd_evolve(
+        mesh, f, sched, 1.03, 1e-2, t0=1.0, observable_stride=1)) / (
+        16 * mesh.size)
+    assert used <= 2.0, f"qhd_evolve used {used:.2f} states"
+
+
 def test_qhd_small_and_1d_grids_never_reach_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was made")
@@ -639,6 +810,25 @@ def test_engines_reject_bad_stride(engine, stride):
     # every third step and 2.5 every fifth
     with pytest.raises(ValueError, match="observable stride"):
         _run_engine(engine, 0.1, 1e-2, observable_stride=stride)
+
+
+@pytest.mark.parametrize("kw, error", [
+    ({"dt": 0.03}, StepGridError),
+    ({"observable_stride": 0}, ValueError),
+    ({"snapshot_times": [1.0055]}, StepGridError),
+], ids=["fractional-steps", "stride-0", "off-grid-snapshot"])
+def test_qhd_rejects_a_bad_step_grid_before_evaluating(kw, error):
+    # the potential, the success mask and the level table come after the
+    # step-grid checks, which cost nothing
+    def never(x):
+        raise AssertionError("the objective was evaluated")
+
+    mesh = qk.Mesh(2, 16, qk.PERIODIC)
+    f = Objective(dim=2, eval_fn=never, minimizer=np.array([0.5, 0.5]))
+    args = {"T": 1.1, "dt": 1e-2, **kw}
+    with pytest.raises(error):
+        qk.qhd_evolve(mesh, f, qk.make_schedule("nesterov_nonconvex"),
+                      args.pop("T"), args.pop("dt"), t0=1.0, **args)
 
 
 def test_quadratic_closed_form_rate():
