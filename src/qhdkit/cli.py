@@ -147,17 +147,15 @@ def cmd_spectrum(args):
 
 
 def cmd_encode(args):
+    flag, bits = (("--resolution", args.resolution)
+                  if args.encoding == "hamming" else ("--bits", args.bits))
+    mesh._require_count(flag, bits)
     qp = objectives.QpInstance.from_json(pathlib.Path(args.qp).read_text())
-    if args.encoding == "hamming":
-        layout = ising.PrecisionLayout.hamming(qp.dim, args.resolution)
-    else:
-        layout = ising.PrecisionLayout.radix2(qp.dim, args.bits)
-    if args.encoding == "hamming" and args.format == "ising":
-        model = ising.hamming_encode_qp(qp, args.resolution)
-    else:
-        model = ising.qp_to_qubo(qp, layout)
-        if args.format == "ising":
-            model = ising.qubo_to_ising(model)
+    # the --encoding choices name the PrecisionLayout builders
+    layout = getattr(ising.PrecisionLayout, args.encoding)(qp.dim, bits)
+    model = ising.qp_to_qubo(qp, layout)
+    if args.format == "ising":
+        model = ising.qubo_to_ising(model)
     pathlib.Path(args.out).write_text(ising.format_model(model, layout))
     print(f"wrote {args.out}")
 

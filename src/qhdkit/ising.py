@@ -223,33 +223,12 @@ def hamming_encode_qp(qp: QpInstance, r: int) -> IsingModel:
         offset = (1/8)(1 + 1/r) sum_p Q_{p,p}
                  + (1/4) sum_{p>q} Q_{p,q} + (1/2) sum_p b_p.
 
+    These are the closed form of the Hamming QUBO expansion substituted to
+    spins, and the model is computed as exactly that composition, so it is
+    bit for bit the Ising file ``encode`` writes for the Hamming encoding.
     An ``r`` that is not an integer >= 1 raises ``ValueError``.
     """
-    _require_count("r", r)
-    d = qp.dim
-    Q = qp.Q.toarray()
-    n = d * r
-    row_sums = Q.sum(axis=1)
-    h = np.zeros(n)
-    for p in range(d):
-        h[p * r:(p + 1) * r] = -(row_sums[p] + 2.0 * qp.b[p]) / (4.0 * r)
-    J = {}
-    for p in range(d):
-        if Q[p, p] != 0.0:
-            val = Q[p, p] / (4.0 * r * r)
-            for j in range(p * r, (p + 1) * r):
-                for k in range(p * r, j):
-                    J[(j, k)] = val
-        for q in range(p):
-            if Q[p, q] != 0.0:
-                val = Q[p, q] / (4.0 * r * r)
-                for j in range(p * r, (p + 1) * r):
-                    for k in range(q * r, (q + 1) * r):
-                        J[(j, k)] = val
-    offset = (0.125 * (1.0 + 1.0 / r) * np.trace(Q)
-              + 0.25 * np.sum(np.tril(Q, -1))
-              + 0.5 * qp.b.sum())
-    return IsingModel(n=n, h=h, J=J, offset=float(offset))
+    return qubo_to_ising(qp_to_qubo(qp, PrecisionLayout.hamming(qp.dim, r)))
 
 
 def qp_to_qubo(qp: QpInstance, layout: PrecisionLayout) -> QuboModel:
@@ -516,9 +495,12 @@ def format_model(model, layout: PrecisionLayout = None) -> str:
 def parse_model(text: str):
     """Inverse of format_model; returns (model, layout_or_None).
 
-    A term line before the header, a second header, an unknown layout
-    encoding, an index outside [0, n) or a repeated term raises
-    ``ValueError`` naming the line, as does a layout not of n bits."""
+    A malformed line raises ``ValueError`` naming the line: a header or
+    layout line with a field not ``key=value``, without a required field
+    (``n``; ``encoding``, ``vars`` and ``bits``) or with a field that does
+    not parse, a second header or layout line, an unknown layout encoding,
+    a term line before the header or not of three fields, an index outside
+    [0, n) or a repeated term. A layout not of n bits raises it too."""
     kind = None
     n = None
     offset = 0.0
@@ -528,35 +510,51 @@ def parse_model(text: str):
     seen = set()
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields and fields[0] in ("qubo", "ising"):
+        comment = line.startswith("#")
+        head, *fields = line.removeprefix("#").split() or [None]
+        if head is None or comment and head not in ("qubo", "ising",
+                                                    "layout"):
+            continue        # blank line or free comment
+        try:
+            if comment:
+                bad = [f for f in fields if "=" not in f]
+                if bad:
+                    raise ValueError(f"field {bad[0]!r} is not key=value")
+                kv = dict(f.split("=", 1) for f in fields)
+                for key in (("encoding", "vars", "bits") if head == "layout"
+                            else ("n",)):
+                    if key not in kv:
+                        raise ValueError(f"no {key}= field")
+                if head == "layout":
+                    if layout is not None:
+                        raise ValueError("second layout line")
+                    build = {"hamming": PrecisionLayout.hamming,
+                             "radix2": PrecisionLayout.radix2}.get(
+                                 kv["encoding"])
+                    if build is None:
+                        raise ValueError("unknown layout encoding")
+                    layout = build(int(kv["vars"]), int(kv["bits"]))
+                    continue
                 if kind is not None:
-                    raise ValueError(f"second model header {line!r}")
-                kind = fields[0]
-                kv = dict(f.split("=", 1) for f in fields[1:])
-                n = int(kv["n"])
+                    raise ValueError("second model header")
+                kind, n = head, int(kv["n"])
+                _require_count("n", n)
                 offset = float(kv.get("offset", "0.0"))
                 lin = np.zeros(n)
-            elif fields and fields[0] == "layout":
-                kv = dict(f.split("=", 1) for f in fields[1:])
-                build = {"hamming": PrecisionLayout.hamming,
-                         "radix2": PrecisionLayout.radix2}.get(kv["encoding"])
-                if build is None:
-                    raise ValueError(f"unknown layout encoding in {line!r}")
-                layout = build(int(kv["vars"]), int(kv["bits"]))
-            continue
-        if kind is None:
-            raise ValueError(f"term line {line!r} before the model header")
-        i_s, j_s, v_s = line.split()
-        i, j, v = int(i_s), int(j_s), float(v_s)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"term line {line!r}: index outside [0, {n})")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"term line {line!r}: duplicate term {key}")
+                continue
+            if kind is None:
+                raise ValueError("term line before the model header")
+            if len(fields) != 2:
+                raise ValueError(f"expected three fields <i> <j> <coeff>, "
+                                 f"got {len(fields) + 1}")
+            i, j, v = int(head), int(fields[0]), float(fields[1])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"index outside [0, {n})")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise ValueError(f"duplicate term {key}")
+        except ValueError as exc:
+            raise ValueError(f"line {line!r}: {exc}") from None
         seen.add(key)
         if i == j:
             lin[i] = v

@@ -172,7 +172,10 @@ def test_qp_gen_and_encode_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("encoding, flag, field", [
-    ("hamming", "--resolution", "r"), ("radix2", "--bits", "bits")])
+    ("hamming", "--resolution", "--resolution"), ("radix2", "--bits", "bits")],
+    # the Hamming id keeps the library's name r, which the message carried
+    # before encode checked its flags
+    ids=["hamming---resolution-r", "radix2---bits-bits"])
 def test_encode_rejects_zero_bits_per_variable(encoding, flag, field,
                                                tmp_path, capsys):
     # --resolution 0 used to die with a ZeroDivisionError traceback
@@ -184,6 +187,38 @@ def test_encode_rejects_zero_bits_per_variable(encoding, flag, field,
               "--encoding", encoding, flag, "0", "--format", "qubo",
               "--out", str(out)])
     assert not out.exists()
+
+
+def test_encode_checks_its_flag_before_reading_the_qp(tmp_path, capsys):
+    # used to report the missing file, read before the flag was checked
+    out = tmp_path / "m.txt"
+    with _input_error(capsys, "encode", "^qhdkit encode: error: "
+                      + re.escape("--bits must be an integer >= 1, got 0")
+                      + "$"):
+        main(["encode", "--qp", str(tmp_path / "nope.json"),
+              "--encoding", "radix2", "--bits", "0", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("encoding, flag", [
+    ("hamming", "--resolution"), ("radix2", "--bits")])
+def test_anneal_sim_samples_one_machine_from_either_file(encoding, flag,
+                                                         tmp_path):
+    # the Hamming Ising file used to come from a second encoder whose
+    # coefficients differed in the last bits, and so did the energies
+    main(["qp-gen", "--dim", "3", "--sparsity", "3", "--count", "1",
+          "--seed", "1", "--out", str(tmp_path)])
+    csvs = []
+    for fmt in ("qubo", "ising"):
+        model = tmp_path / f"m.{fmt}"
+        main(["encode", "--qp", str(tmp_path / "instance_000.json"),
+              "--encoding", encoding, flag, "3", "--format", fmt,
+              "--out", str(model)])
+        csvs.append(tmp_path / f"samples_{fmt}.csv")
+        main(["anneal-sim", "--model", str(model), "--tf", "2.0",
+              "--dt", "0.01", "--shots", "200", "--seed", "5",
+              "--out", str(csvs[-1])])
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 def test_anneal_sim_smoke(tmp_path):
@@ -351,6 +386,17 @@ def test_anneal_sim_model_without_layout_exits_2(tmp_path, capsys):
                              if not line.startswith("# layout")))
     capsys.readouterr()
     with _input_error(capsys, "anneal-sim", "no layout line"):
+        main(["anneal-sim", "--model", str(model), "--tf", "0.1",
+              "--dt", "0.01", "--out", str(tmp_path / "s.csv")])
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_anneal_sim_header_without_n_exits_2(tmp_path, capsys):
+    # used to end in a KeyError traceback
+    model = tmp_path / "m.txt"
+    model.write_text("# qubo offset=0.0\n"
+                     "# layout encoding=hamming vars=1 bits=2\n")
+    with _input_error(capsys, "anneal-sim", "no n= field"):
         main(["anneal-sim", "--model", str(model), "--tf", "0.1",
               "--dt", "0.01", "--out", str(tmp_path / "s.csv")])
     assert not (tmp_path / "s.csv").exists()

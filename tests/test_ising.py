@@ -244,12 +244,25 @@ def test_qp_to_qubo_energy_equals_objective():
 
 
 def test_hamming_qubo_route_matches_ising_route():
-    qp = random_qp(2, 11)
-    r = 3
-    direct = ising_energies(qk.hamming_encode_qp(qp, r))
-    via_qubo = ising_energies(
-        qubo_to_ising(qk.qp_to_qubo(qp, qk.PrecisionLayout.hamming(2, r))))
-    assert np.max(np.abs(direct - via_qubo)) < 1e-12
+    # one machine, bit for bit: hamming_encode_qp is the Hamming QUBO
+    # substituted to spins, over the shapes criterion 8 covers (d r <= 10);
+    # a separate closed-form encoder differed in the last bits
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+    for d in range(1, 11):
+        for r in range(1, 10 // d + 1):
+            for seed in range(3):
+                qp = random_qp(d, 100 * d + 10 * r + seed)
+                direct = qk.hamming_encode_qp(qp, r)
+                via_qubo = qubo_to_ising(
+                    qk.qp_to_qubo(qp, qk.PrecisionLayout.hamming(d, r)))
+                assert bits(direct.h) == bits(via_qubo.h), (d, r, seed)
+                assert list(direct.J) == list(via_qubo.J), (d, r, seed)
+                assert (bits(list(direct.J.values()))
+                        == bits(list(via_qubo.J.values()))), (d, r, seed)
+                assert (bits([direct.offset])
+                        == bits([via_qubo.offset])), (d, r, seed)
 
 
 def test_qubo_ising_convert_examples():
@@ -768,6 +781,21 @@ def test_model_file_roundtrip():
      "does not match n=4"),
     ("# layout encoding=radix2 vars=1 bits=3\n# ising n=4 offset=0.0\n"
      "0 0 1.0\n", "does not match n=4"),
+    ("# qubo offset=0.0\n", r"line '# qubo offset=0.0': no n= field"),
+    ("# ising n=2.5 offset=0.0\n", r"line '# ising n=2.5 offset=0.0': "),
+    ("# qubo n=0 offset=0.0\n", r"line '# qubo n=0 offset=0.0': n must be"),
+    ("# qubo n=2\n# layout vars=1 bits=2\n", "no encoding= field"),
+    ("# qubo n=2\n# layout encoding=hamming bits=2\n", "no vars= field"),
+    ("# qubo n=2\n# layout encoding=hamming vars=1\n", "no bits= field"),
+    ("# qubo n=2 offset\n", r"line '# qubo n=2 offset': field 'offset' is "
+     "not key=value"),
+    ("# qubo n=2\n# layout encoding=hamming vars 1 bits=2\n",
+     "field 'vars' is not key=value"),
+    ("# qubo n=2\n0 1\n", r"line '0 1': expected three fields .* got 2"),
+    ("# qubo n=2\n0 1 0.5 7\n", r"line '0 1 0.5 7': expected three fields"),
+    ("# qubo n=2\n0 x 0.5\n", r"line '0 x 0.5': "),
+    ("# qubo n=2\n# layout encoding=hamming vars=1 bits=2\n"
+     "# layout encoding=radix2 vars=2 bits=1\n", "second layout line"),
 ])
 def test_parse_model_rejects_malformed_input(text, why):
     with pytest.raises(ValueError, match=why):
